@@ -117,8 +117,10 @@ func BenchmarkFullRunToConsensus(b *testing.B) {
 	}
 }
 
+// BenchmarkLambdaSparse times spectral.Lambda on the benchmark's
+// reduce-rr graph shape, rr(2¹⁴, 8), the λ its set-up pays for.
 func BenchmarkLambdaSparse(b *testing.B) {
-	g, err := graph.RandomRegular(2000, 16, rng.New(3))
+	g, err := graph.RandomRegularSeeded(1<<14, 8, 3, graph.BuildOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}

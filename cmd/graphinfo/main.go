@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -88,6 +89,13 @@ func run(graphSpec string, seed uint64, k int, diameter bool, buildWorkers int) 
 		return nil
 	}
 	lam, err := spectral.Lambda(g, spectral.Options{})
+	if errors.Is(err, spectral.ErrNotConverged) {
+		// λ₂ comes from the same Lanczos run, so it cannot converge
+		// either, and the λk and mixing bounds need λ from above: print
+		// the lower bound alone.
+		fmt.Printf("λ:          ≥ %.6f (not converged: lower bound; λ₂, λk and t_mix skipped)\n", lam)
+		return nil
+	}
 	if err != nil {
 		return err
 	}

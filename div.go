@@ -248,11 +248,18 @@ var (
 )
 
 // Lambda estimates λ = max(|λ₂|, |λ_n|) of the random walk on g — the
-// expansion parameter all of the paper's guarantees are stated in — via
-// a sparse deflated power method in O(iterations·(n+m)).
+// expansion parameter all of the paper's guarantees are stated in — by
+// Lanczos with O(n) memory, O(n+m) per step and typically a few hundred
+// steps. The estimate is a lower bound on λ, deterministic for a given
+// g. If the solver's step cap is reached first, the error wraps
+// ErrNotConverged and the returned value is the best lower bound so far.
 func Lambda(g *Graph) (float64, error) {
 	return spectral.Lambda(g, spectral.Options{})
 }
+
+// ErrNotConverged is wrapped by Lambda's error when the solver stops at
+// its step cap; test for it with errors.Is.
+var ErrNotConverged = spectral.ErrNotConverged
 
 // MixingTimeBound returns the standard reversible-chain bound
 // t_mix(ε) ≤ log(1/(ε·π_min))/(1-λ).

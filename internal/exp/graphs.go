@@ -136,9 +136,11 @@ func (gs *Graphs) Torus(w, h int) *graph.Graph {
 }
 
 // Lambda returns spectral.Lambda(g, o), memoized on the cache entry
-// when g came from this Graphs (power iteration with fixed Options is
-// deterministic, so the memo is exact, not approximate). Graphs not
-// handed out by the cache fall through to a direct computation.
+// when g came from this Graphs (Lanczos with fixed Options returns
+// identical bits on every call, so the memo is exact, not
+// approximate). Graphs not handed out by the cache fall through to a
+// direct computation. Any error, ErrNotConverged included, is returned
+// as an error.
 func (gs *Graphs) Lambda(g *graph.Graph, o spectral.Options) (float64, error) {
 	gs.mu.Lock()
 	h, ok := gs.byG[g]

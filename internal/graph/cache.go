@@ -126,7 +126,9 @@ func (h *Handle) Release() {
 // Float returns the memoized scalar under key, computing it with build
 // on first request. Concurrent callers may race to build; the first
 // stored value wins and all callers observe it — build must therefore
-// be deterministic (spectral.Lambda with fixed Options is). This is
+// be deterministic (spectral.Lambda with fixed Options is: its Lanczos
+// recurrence is serial and seeded, so repeated calls agree bit for
+// bit). This is
 // how experiments share λ estimates without the graph package
 // importing the spectral package.
 func (h *Handle) Float(key string, build func(*Graph) float64) float64 {

@@ -5,8 +5,9 @@
 // and mixing-time estimates.
 //
 // Two engines are provided: a dense cyclic-Jacobi eigensolver used as
-// an exact oracle on small graphs, and a sparse deflated power method
-// that scales to the graph sizes used in the experiments. The random
+// an exact oracle on small graphs, and a sparse Lanczos solver with
+// O(n) memory (no stored Krylov basis) that scales to the graph sizes
+// used in the experiments. The random
 // walk matrix P = D⁻¹A is not symmetric, but it is similar to the
 // symmetric N = D^{-1/2} A D^{-1/2}, so both engines work on N and
 // share P's spectrum.

@@ -1,11 +1,11 @@
 package spectral
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"div/internal/graph"
-	"div/internal/rng"
 )
 
 // WalkMatrix returns the dense symmetrized walk matrix
@@ -61,19 +61,31 @@ func LambdaExact(g *graph.Graph) (float64, error) {
 	return math.Max(math.Abs(vals[0]), math.Abs(vals[n-2])), nil
 }
 
-// Options configures the sparse Lambda power method.
+// ErrNotConverged is wrapped by the error Lambda and SecondEigen return
+// when MaxIters applications of N pass before the stop rule holds. The
+// value returned alongside it is still usable: for Lambda it is a
+// lower bound on λ, for SecondEigen a lower bound on λ₂ with the Ritz
+// vector of that bound.
+var ErrNotConverged = errors.New("spectral: Lanczos did not converge")
+
+// Options configures the sparse Lanczos solver behind Lambda and
+// SecondEigen: where the recurrence starts and when it stops, not what
+// it computes.
 type Options struct {
-	// MaxIters bounds the number of B² applications (default 5000).
+	// MaxIters bounds the number of applications of N in one Lanczos
+	// pass (default 5000). Reaching it returns the best lower bound
+	// so far with an error wrapping ErrNotConverged.
 	MaxIters int
-	// Tol is the relative convergence tolerance on the λ² estimate
-	// (default 1e-10).
+	// Tol is the stall rule: stop once both extreme eigenvalues of
+	// the Lanczos tridiagonal moved at most Tol·λ between two checks
+	// at least ten steps apart (default 1e-10).
 	Tol float64
 	// Seed seeds the random start vector (default 1).
 	Seed uint64
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxIters == 0 {
+	if o.MaxIters <= 0 {
 		o.MaxIters = 5000
 	}
 	if o.Tol == 0 {
@@ -86,79 +98,23 @@ func (o Options) withDefaults() Options {
 }
 
 // Lambda estimates λ = max(|λ₂|, |λ_n|) of the walk matrix of a
-// connected graph with a sparse deflated power method: the known top
-// eigenvector φ₁(v) ∝ √d(v) is projected out, and the power iteration
-// runs on B² (B = N - φ₁φ₁ᵀ) so that paired eigenvalues ±λ cannot make
-// the iteration oscillate. Each iteration costs O(n + m).
+// connected graph by Lanczos on N = D^{-1/2} A D^{-1/2} with the top
+// eigenvector φ₁ ∝ √d projected out: λ is max(|θ_min|, |θ_max|) of the
+// Lanczos tridiagonal T_k. Each step costs O(n + m) and memory is four
+// n-vectors; no Krylov basis is stored.
 //
-// The returned estimate converges from below at rate (λ'/λ)² where λ'
-// is the next-largest modulus; Tol controls the stopping criterion.
+// The result is a lower bound on λ (the extremes of T_k interlace
+// inward), exact to about Tol·λ on convergence, and a deterministic
+// function of (g, opts): two calls return identical bits. The
+// recurrence stops early on breakdown — an exact invariant subspace,
+// as on K_n, K₂ or Petersen — where T_k's extremes are already exact.
 func Lambda(g *graph.Graph, opts Options) (float64, error) {
-	opts = opts.withDefaults()
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("spectral: need at least two vertices")
+	l, err := newLanczos(g)
+	if err != nil {
+		return 0, err
 	}
-	if !graph.IsConnected(g) {
-		return 0, fmt.Errorf("spectral: graph is disconnected")
-	}
-
-	invSqrtDeg := make([]float64, n)
-	phi := make([]float64, n) // top eigenvector of N, unit norm
-	var norm float64
-	for v := 0; v < n; v++ {
-		d := float64(g.Degree(v))
-		invSqrtDeg[v] = 1 / math.Sqrt(d)
-		phi[v] = math.Sqrt(d)
-		norm += d
-	}
-	norm = math.Sqrt(norm)
-	for v := range phi {
-		phi[v] /= norm
-	}
-
-	x := make([]float64, n)
-	y := make([]float64, n)
-	r := rng.New(opts.Seed)
-	for v := range x {
-		x[v] = r.Float64() - 0.5
-	}
-	deflate(x, phi)
-	if normalize(x) == 0 {
-		return 0, fmt.Errorf("spectral: degenerate start vector")
-	}
-
-	applyB := func(dst, src []float64) {
-		// dst = N·src with N = D^{-1/2} A D^{-1/2}, then deflate φ₁.
-		for v := 0; v < n; v++ {
-			var sum float64
-			for _, w := range g.Neighbors(v) {
-				sum += src[w] * invSqrtDeg[w]
-			}
-			dst[v] = sum * invSqrtDeg[v]
-		}
-		deflate(dst, phi)
-	}
-
-	prev := 0.0
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		applyB(y, x)
-		applyB(x, y)
-		// Rayleigh quotient of B² at the (pre-normalization) iterate:
-		// since ‖x_in‖ = 1, λ² ≈ x_in · B²x_in, but B²x ≥ 0 alignment
-		// is cleaner through the norm which equals ‖B²x_in‖ → λ².
-		lamSq := normalize(x)
-		if lamSq == 0 {
-			// x fell entirely into the kernel of B²; λ is 0 only for
-			// graphs whose walk matrix is a rank-one perturbation.
-			return 0, nil
-		}
-		if iter > 4 && math.Abs(lamSq-prev) <= opts.Tol*lamSq {
-			return math.Sqrt(lamSq), nil
-		}
-		prev = lamSq
-	}
-	return math.Sqrt(prev), nil
+	res, err := l.run(opts.withDefaults())
+	return res.lambda(), err
 }
 
 // deflate removes the phi component from x in place.

@@ -1,7 +1,9 @@
 package spectral
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"div/internal/graph"
@@ -92,6 +94,27 @@ func TestWalkSpectrumTopEigenvalueIsOne(t *testing.T) {
 	}
 }
 
+// checkLambda holds the sparse Lambda to the exact λ: within 1e-10, never
+// above it by more than 1e-12 (the lower-bound contract), and
+// bit-identical across calls (the graph-cache memo relies on it).
+func checkLambda(t *testing.T, g *graph.Graph, exact float64) {
+	t.Helper()
+	got, err := Lambda(g, Options{})
+	if err != nil {
+		t.Fatalf("%v: sparse: %v", g, err)
+	}
+	if math.Abs(got-exact) > 1e-10 {
+		t.Errorf("%v: sparse λ = %.15f vs exact %.15f", g, got, exact)
+	}
+	if got > exact+1e-12 {
+		t.Errorf("%v: sparse λ = %.15f above exact %.15f: not a lower bound", g, got, exact)
+	}
+	again, err := Lambda(g, Options{})
+	if err != nil || math.Float64bits(again) != math.Float64bits(got) {
+		t.Errorf("%v: second call returned (%v, %v), first %v", g, again, err, got)
+	}
+}
+
 func TestLambdaExactClosedForms(t *testing.T) {
 	tests := []struct {
 		name string
@@ -107,16 +130,26 @@ func TestLambdaExactClosedForms(t *testing.T) {
 		{"K33", graph.CompleteBipartite(3, 3), LambdaCompleteBipartite(3, 3)},
 		{"C10(1,2)", graph.Circulant(10, []int{1, 2}), LambdaCirculant(10, []int{1, 2})},
 		{"C11(1,2,3)", graph.Circulant(11, []int{1, 2, 3}), LambdaCirculant(11, []int{1, 2, 3})},
+		// Slow spectral gaps and large symmetric graphs: sparse only.
+		{"C1025", graph.Cycle(1025), LambdaCycle(1025)},
+		{"P400 (bipartite)", graph.Path(400), LambdaPath(400)},
+		{"T33x33", graph.Torus(33, 33), LambdaTorus(33, 33)},
+		{"Q10 (bipartite)", graph.Hypercube(10), LambdaHypercube(10)},
+		{"K1024", graph.Complete(1024), LambdaComplete(1024)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := LambdaExact(tc.g)
-			if err != nil {
-				t.Fatal(err)
+			// The dense oracle is O(n³); it checks the small rows.
+			if tc.g.N() <= 64 {
+				got, err := LambdaExact(tc.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(got-tc.want) > 1e-9 {
+					t.Errorf("λ = %v, want %v", got, tc.want)
+				}
 			}
-			if math.Abs(got-tc.want) > 1e-9 {
-				t.Errorf("λ = %v, want %v", got, tc.want)
-			}
+			checkLambda(t, tc.g, tc.want)
 		})
 	}
 }
@@ -138,6 +171,11 @@ func TestLambdaSparseMatchesExact(t *testing.T) {
 		graph.Barbell(8, 2),
 		gnp,
 		reg,
+		// Breakdown at step 1, and bipartite graphs with λ = 1.
+		graph.Complete(2),
+		graph.Cycle(8),
+		graph.Hypercube(3),
+		graph.CompleteBipartite(3, 3),
 	}
 	for _, g := range graphs {
 		if !graph.IsConnected(g) {
@@ -147,13 +185,68 @@ func TestLambdaSparseMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: exact: %v", g, err)
 		}
-		approx, err := Lambda(g, Options{})
-		if err != nil {
-			t.Fatalf("%v: sparse: %v", g, err)
-		}
-		if math.Abs(exact-approx) > 1e-6 {
-			t.Errorf("%v: sparse λ=%v vs exact %v", g, approx, exact)
-		}
+		checkLambda(t, g, exact)
+	}
+}
+
+// TestLambdaStartSeedIndependent runs the benchmark's graph shape from
+// two start vectors: a stop rule that quit early would show as
+// disagreement between them.
+func TestLambdaStartSeedIndependent(t *testing.T) {
+	g, err := graph.RandomRegularSeeded(1<<14, 8, 1, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Lambda(g, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Lambda(g, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(a-b) > 1e-9 {
+		t.Errorf("λ from seed 1 = %.15f, from seed 7 = %.15f", a, b)
+	}
+}
+
+// TestLambdaMemoryLinear pins the O(n) memory rule: one call allocates
+// at most five n-vectors plus O(MaxIters) for the tridiagonal. A
+// stored Krylov basis (k ≈ 250 vectors here) would be ~33 MB.
+func TestLambdaMemoryLinear(t *testing.T) {
+	g, err := graph.RandomRegularSeeded(1<<14, 8, 1, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{}.withDefaults()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Lambda(g, opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(5*8*g.N() + 64*opts.MaxIters)
+	if got > limit {
+		t.Errorf("Lambda allocated %d bytes, limit 5·8·n + 64·MaxIters = %d", got, limit)
+	}
+}
+
+// TestLambdaNotConverged: hitting MaxIters reports ErrNotConverged
+// with a value that is still a lower bound on λ.
+func TestLambdaNotConverged(t *testing.T) {
+	g := graph.Path(20000)
+	got, err := Lambda(g, Options{MaxIters: 50})
+	if !errors.Is(err, ErrNotConverged) {
+		t.Fatalf("err = %v, want ErrNotConverged", err)
+	}
+	if got <= 0 || got > LambdaPath(20000) {
+		t.Errorf("bound %v outside (0, %v]", got, LambdaPath(20000))
+	}
+	l2, vec, err := SecondEigen(g, Options{MaxIters: 50})
+	if !errors.Is(err, ErrNotConverged) || len(vec) != g.N() || l2 > Lambda2Path(20000) {
+		t.Errorf("SecondEigen capped = (%v, len %d, %v), want a bound ≤ %v and ErrNotConverged",
+			l2, len(vec), err, Lambda2Path(20000))
 	}
 }
 

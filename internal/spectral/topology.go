@@ -16,8 +16,8 @@ var topoLambdaMemo sync.Map // graph.Topology.Name() -> float64
 // LambdaTopology returns λ = max(|λ₂|, |λ_n|) of the walk matrix for
 // implicit topologies with a closed form (complete, cycle, path, torus,
 // hypercube, circulant), memoized per topology name. ok is false for
-// topologies without one: materialized *Graphs (use LambdaExact or the
-// power iteration) and HashedRegular (only the w.h.p. bound
+// topologies without one: materialized *Graphs (use LambdaExact or
+// Lambda) and HashedRegular (only the w.h.p. bound
 // LambdaRandomRegularBound applies).
 func LambdaTopology(t graph.Topology) (lambda float64, ok bool) {
 	key := t.Name()

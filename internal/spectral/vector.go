@@ -1,86 +1,51 @@
 package spectral
 
 import (
-	"fmt"
-	"math"
+	"errors"
 
 	"div/internal/graph"
-	"div/internal/rng"
 )
 
 // SecondEigen computes the SIGNED second-largest eigenvalue λ₂ of the
 // walk matrix P together with its eigenvector (in the vertex basis of
 // P, i.e. the Fiedler-style vector used for spectral sweep cuts).
 //
-// Method: shifted deflated power iteration on M = (I+N)/2 where
-// N = D^{-1/2}AD^{-1/2}. The shift maps the spectrum [-1,1] to [0,1]
-// monotonically, so after deflating the top eigenvector the dominant
-// eigenvalue of M is (1+λ₂)/2 regardless of how negative λ_n is — this
-// is what distinguishes SecondEigen from Lambda, which targets
-// max(|λ₂|,|λ_n|).
+// λ₂ is θ_max of the same Lanczos tridiagonal T_k that Lambda builds
+// (same start vector, same stop rule), so it converges exactly when
+// Lambda does and is a lower bound on λ₂. The eigenvector is the Ritz
+// vector Σ_j s_j q_j for T_k's top eigenvector s: a second pass
+// replays the recurrence from the same start vector and accumulates
+// the sum, so memory stays O(n) with no stored basis, at the price of
+// k more applications of N. On ErrNotConverged both results are
+// returned with the error.
 func SecondEigen(g *graph.Graph, opts Options) (lambda2 float64, vec []float64, err error) {
 	opts = opts.withDefaults()
-	n := g.N()
-	if n < 2 {
-		return 0, nil, fmt.Errorf("spectral: need at least two vertices")
+	l, err := newLanczos(g)
+	if err != nil {
+		return 0, nil, err
 	}
-	if !graph.IsConnected(g) {
-		return 0, nil, fmt.Errorf("spectral: graph is disconnected")
+	res, runErr := l.run(opts)
+	if runErr != nil && !errors.Is(runErr, ErrNotConverged) {
+		return 0, nil, runErr
 	}
-
-	invSqrtDeg := make([]float64, n)
-	phi := make([]float64, n)
-	var norm float64
-	for v := 0; v < n; v++ {
-		d := float64(g.Degree(v))
-		invSqrtDeg[v] = 1 / math.Sqrt(d)
-		phi[v] = math.Sqrt(d)
-		norm += d
+	s := res.t.ritzVector(res.thetaMax)
+	if err := l.start(opts.Seed); err != nil {
+		return 0, nil, err
 	}
-	norm = math.Sqrt(norm)
-	for v := range phi {
-		phi[v] /= norm
-	}
-
-	x := make([]float64, n)
-	y := make([]float64, n)
-	r := rng.New(opts.Seed)
-	for v := range x {
-		x[v] = r.Float64() - 0.5
-	}
-	deflate(x, phi)
-	if normalize(x) == 0 {
-		return 0, nil, fmt.Errorf("spectral: degenerate start vector")
-	}
-
-	applyM := func(dst, src []float64) {
-		for v := 0; v < n; v++ {
-			var sum float64
-			for _, w := range g.Neighbors(v) {
-				sum += src[w] * invSqrtDeg[w]
-			}
-			dst[v] = (src[v] + sum*invSqrtDeg[v]) / 2
+	vec = make([]float64, g.N())
+	for j, sj := range s {
+		if j > 0 {
+			l.step()
 		}
-		deflate(dst, phi)
-	}
-
-	prev := 0.0
-	mu := 0.0
-	for iter := 0; iter < opts.MaxIters; iter++ {
-		applyM(y, x)
-		mu = normalize(y)
-		x, y = y, x
-		if iter > 4 && math.Abs(mu-prev) <= opts.Tol*math.Max(mu, 1e-300) {
-			break
+		for v, x := range l.q {
+			vec[v] += sj * x
 		}
-		prev = mu
 	}
-	lambda2 = 2*mu - 1
+	normalize(vec)
 	// Convert the eigenvector of N back to the P basis: if N u = λ u
 	// then P (D^{-1/2}u) = λ (D^{-1/2}u).
-	vec = make([]float64, n)
-	for v := 0; v < n; v++ {
-		vec[v] = x[v] * invSqrtDeg[v]
+	for v := range vec {
+		vec[v] *= l.invSqrtDeg[v]
 	}
-	return lambda2, vec, nil
+	return res.thetaMax, vec, runErr
 }
