@@ -39,7 +39,7 @@ func main() {
 		ruleName   = flag.String("rule", "div", "update rule: div, pull, median, bestofK, loadbalance")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		trials     = flag.Int("trials", 1, "number of independent runs")
-		engName    = flag.String("engine", "auto", "stepping engine: naive, fast, or auto; on -implicit/-compact runs fast and auto retire to the O(discordance)-memory sparse endgame engine (distribution-equivalent to naive; rejected on implicit complete graphs)")
+		engName    = flag.String("engine", "auto", "stepping engine: naive, fast, or auto; fast and auto skip-sample idle steps through the O(discordance)-memory sparse engine (distribution-equivalent to naive; rejected on implicit complete graphs)")
 		trace      = flag.Bool("trace-stages", false, "print the opinion-support stage trace (first run only)")
 		series     = flag.Bool("series", false, "print range/weight/discordance trajectory sparklines (first run only)")
 		maxSteps   = flag.Int64("maxsteps", 0, "step cap (0 = 200·n²)")

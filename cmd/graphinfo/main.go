@@ -172,16 +172,10 @@ func runImplicit(graphSpec string, seed uint64, k int) error {
 		return nil
 	}
 	ix := g.ArcIndex()
-	ix.VertexUnits() // force the lazy weight block so it is counted
 	adjActual := 8 * int64(len(g.Offsets()))
 	adjActual += 4 * int64(len(g.Arcs()))
 	arcActual := 4 * int64(len(ix.Tails()))
 	arcActual += 4 * int64(len(ix.Rev()))
-	if units, _, ok := ix.VertexUnits(); ok {
-		arcActual += 8 * int64(len(units))
-		arcActual += 8 * int64(len(ix.UnitOnes()))
-		arcActual += int64(len(ix.DegreeBuckets()))
-	}
 	fmt.Printf("memory if materialized (actual):    adjacency %s + arc index %s = %s\n",
 		fmtBytes(adjActual), fmtBytes(arcActual), fmtBytes(adjActual+arcActual))
 	return nil

@@ -41,10 +41,10 @@ import (
 // the same pair distribution (on K_n the single joint draw below is the
 // same uniform ordered pair the two-draw path realizes). Idle-draw
 // skip-sampling still pays off in the long final stage, so a row whose
-// windowed idle fraction crosses the hybrid engine's threshold retires
-// from the block and finishes under the sequential fast/hybrid loop,
-// borrowing the arena's shared FastState (one per process, rebound per
-// hand-off) instead of allocating its own O(arcs) index.
+// windowed idle fraction crosses the hybrid engine's threshold hands off
+// to the discordance engine (sparse.go), borrowing the arena's shared
+// SparseState (one per process, rebound per hand-off), and returns to
+// blocked stepping if discordance rebounds.
 
 // DefaultBlock is the number of trials a blocked batch keeps in flight
 // when BlockConfig.Block is zero. Eight int32 rows of a few thousand
@@ -55,7 +55,7 @@ const DefaultBlock = 8
 
 var (
 	// blockTrialsTotal counts trials completed by the blocked kernel
-	// (including rows that retired to the sequential engine mid-run).
+	// (including rows that handed off to the discordance engine).
 	blockTrialsTotal = obs.Default.Counter("core_block_trials_total")
 	// streamRefillsTotal counts per-trial counter-stream buffer refills,
 	// flushed once per finished trial (64 words each; see rng.Stream).
@@ -86,31 +86,31 @@ type BlockConfig struct {
 	// DIV rule (the generic-rule path needs CSR structure). Under
 	// EngineNaive, results are byte-identical to running on
 	// Materialize(Topology); EngineFast and EngineAuto hand off to the
-	// sparse endgame engine (core/sparse.go), which preserves the naive
-	// law in distribution but not pointwise (except on complete
-	// topologies, where the sparse engine degenerates and is rejected /
-	// never entered). Setting both Graph and a Topology other than Graph
-	// itself is an error.
+	// discordance engine (core/sparse.go) on every backend, which
+	// preserves the naive law in distribution but not pointwise (implicit
+	// complete topologies, where its rejection sampler degenerates, are
+	// rejected / never entered). Setting both Graph and a Topology other
+	// than Graph itself is an error.
 	Topology graph.Topology
 	// Compact stores each trial's opinions as a byte slab (opinion
 	// window ≤ 256) instead of int32 — 4× less opinion memory, so a
 	// block's working set fits L2 at n = 2²⁰. Requires the DIV rule;
 	// under EngineNaive results are byte-identical to the int32
-	// representation, and like implicit topologies, compact trials hand
-	// off to the sparse endgame engine rather than the sequential fast
-	// loop.
+	// representation.
 	Compact bool
 	// Process is the scheduler (vertex or edge). Default VertexProcess.
 	Process Process
 	// Rule is the update rule. Default DIV{}. Non-pairwise rules run on
-	// the generic scheduler path and never hand off to the fast engine.
+	// the generic scheduler path and never hand off to the discordance
+	// engine.
 	Rule Rule
 	// Engine selects the stepping strategy, with the same semantics as
 	// Config.Engine reinterpreted for blocked execution: EngineNaive
 	// keeps every trial in the blocked loop to the end, EngineFast
-	// retires every trial to the sequential fast loop immediately
-	// (erroring if the run is ineligible), EngineAuto retires a trial
-	// when its windowed idle fraction crosses the hybrid threshold.
+	// hands every trial to the discordance engine immediately (erroring
+	// if the run is ineligible), EngineAuto hands a trial off when its
+	// windowed idle fraction crosses the hybrid threshold and takes it
+	// back when discordance rebounds.
 	Engine Engine
 	// Stop selects the halting condition. Default UntilConsensus.
 	Stop StopCondition
@@ -119,10 +119,10 @@ type BlockConfig struct {
 	// MajorityFrac, when positive, makes each trial record
 	// Result.MajorityStep: the first observed step at which some single
 	// opinion's multiplicity reaches MajorityFrac·n. The check runs at
-	// chunk granularity in the blocked loops and per active step in the
-	// sparse endgame loop, so the recorded step is an upper bound within
-	// one chunk of the true crossing — the resolution the bign phase
-	// split needs, at zero hot-path cost.
+	// chunk granularity in the blocked loops and per active step under
+	// the discordance engine, so the recorded step is an upper bound
+	// within one chunk of the true crossing — the resolution the bign
+	// phase split needs, at zero hot-path cost.
 	MajorityFrac float64
 	// Seed is the experiment point's base seed; trial t draws from the
 	// counter stream keyed by (Seed, t).
@@ -138,7 +138,7 @@ type BlockConfig struct {
 	// chunk boundaries). Default n.
 	ObserveEvery int64
 	// Scratch, when non-nil, supplies the reusable block arena (opinion
-	// slab, row states, hand-off FastStates) so repeated batches on one
+	// slab, row states, hand-off SparseStates) so repeated batches on one
 	// graph allocate nothing. Must be bound to Graph.
 	Scratch *Scratch
 	// Block is the number of trials stepped concurrently. 0 means
@@ -179,14 +179,14 @@ func RunBlock(cfg BlockConfig, t0, t1 int, out []Result) error {
 		next++
 	}
 	for len(rows) > 0 {
-		// Resolve phase: retire rows that want the sequential engine,
+		// Resolve phase: hand off rows that want the discordance engine,
 		// finalize finished trials, and admit replacements, repeating on
 		// each slot until it stabilizes (an admitted trial may be born
 		// done, or want the fast engine immediately under EngineFast).
 		for i := 0; i < len(rows); {
 			row := rows[i]
 			if row.wantFast && !row.done {
-				if err := b.handoff(row); err != nil {
+				if err := b.handoffSparse(row); err != nil {
 					return err
 				}
 			}
@@ -281,12 +281,12 @@ type blockRow struct {
 	laneActive    int64
 
 	done     bool
-	wantFast bool // retire to the sequential fast/hybrid loop
+	wantFast bool // hand off to the discordance engine
 }
 
 // blockArena owns the reusable storage of the blocked kernel for one
 // graph: the SoA opinion slab, the per-slot rows (state + stream), the
-// initial-profile buffer, and one hand-off FastState per process. Like
+// initial-profile buffer, and one SparseState per process. Like
 // Scratch, it is single-goroutine; Scratch.blockArenaFor caches one per
 // worker.
 type blockArena struct {
@@ -297,11 +297,10 @@ type blockArena struct {
 	slab8   []uint8
 	rows    []*blockRow
 	initBuf []int
-	lanes   []*blockRow   // scratch live-lane list for laneChunk
-	fast    [2]*FastState // indexed by Process; rebound per hand-off
-	// sparse is the shared hand-off SparseState per process for
-	// implicit/compact runs: O(n) position index + O(discordance) member
-	// set, reseeded per hand-off, the sparse counterpart of fast.
+	lanes   []*blockRow // scratch live-lane list for laneChunk
+	// sparse is the shared SparseState per process (O(n) position index
+	// + O(discordance) member set), rebound and reseeded per hand-off
+	// and per sequential fast/hybrid entry on a Scratch.
 	sparse [2]*SparseState
 }
 
@@ -351,36 +350,21 @@ func (a *blockArena) grow(bn int, compact bool) {
 	}
 }
 
-// fastFor returns the arena's shared hand-off FastState for proc,
-// rebound to row's State and Reset against its current opinions. The
-// arena keeps ONE per process — O(arcs) memory — and lends it to
-// whichever row is retiring; the retiring trial finishes sequentially
-// before any other row can need it.
-func (a *blockArena) fastFor(row *blockRow, proc Process) (*FastState, error) {
-	if f := a.fast[proc]; f != nil {
-		f.rebind(row.s)
-		f.Reset()
-		return f, nil
+// sparseFor returns the arena's shared SparseState for proc, rebound
+// to s and reseeded against its current opinions (the O(n·d)
+// enumeration pass of a hand-off). One per process, lent to whichever
+// trial is stepping under the discordance engine; that trial finishes
+// or bounces back before any other can need it.
+func (a *blockArena) sparseFor(s *State, proc Process) (*SparseState, error) {
+	if proc != VertexProcess && proc != EdgeProcess {
+		return NewSparseState(s, proc) // the unknown-process error
 	}
-	f, err := NewFastState(row.s, proc)
-	if err != nil {
-		return nil, err
-	}
-	a.fast[proc] = f
-	return f, nil
-}
-
-// sparseFor is fastFor's counterpart for implicit/compact runs: the
-// arena's shared hand-off SparseState for proc, rebound to row's State
-// and reseeded against its current opinions (the O(n·d) enumeration
-// pass of the hand-off). One per process, lent to the retiring row.
-func (a *blockArena) sparseFor(row *blockRow, proc Process) (*SparseState, error) {
 	if sp := a.sparse[proc]; sp != nil {
-		sp.rebind(row.s)
+		sp.rebind(s)
 		sp.Seed()
 		return sp, nil
 	}
-	sp, err := NewSparseState(row.s, proc)
+	sp, err := NewSparseState(s, proc)
 	if err != nil {
 		return nil, err
 	}
@@ -442,15 +426,10 @@ type blockRun struct {
 	laneSink int64
 
 	// Hybrid hand-off thresholds (see hybrid.go's cost model) and the
-	// batch-wide kill switch set when FastState (or SparseState)
-	// construction fails. sparseOK marks runs whose hand-off target is
-	// the sparse endgame engine instead of the sequential fast loop:
-	// pairwise DIV on a non-complete backend that is implicit and/or
-	// compact (the tuned CSR+int32 path keeps the fast engine so its
-	// trajectories stay byte-identical to earlier releases).
+	// batch-wide kill switch, set for runs that cannot hand off and when
+	// SparseState construction fails.
 	enterScale, exitScale int64
 	handoffDisabled       bool
-	sparseOK              bool
 	// majorityCount is the opinion multiplicity at which MajorityFrac is
 	// reached; 0 disables the check.
 	majorityCount int64
@@ -501,8 +480,8 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 		if pw == nil {
 			return nil, fmt.Errorf("core: fast engine requires a PairwiseRule, got %q", rule.Name())
 		}
-		// Implicit/compact eligibility (the sparse endgame engine) is
-		// kind-dependent and validated after kernel selection below.
+		// Implicit/compact eligibility is kind-dependent and validated
+		// after kernel selection below.
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
 	}
@@ -594,18 +573,15 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 			return nil, fmt.Errorf("core: implicit/compact blocked runs require n and arc count < 2^32")
 		}
 	}
-	// Hand-off targets. The tuned CSR+int32 path retires to the
-	// sequential fast/hybrid loop exactly as before; every other
-	// pairwise-DIV vertex/edge run retires to the sparse endgame engine
-	// (distribution-equivalent, O(discordance) memory). Complete
-	// topologies are excluded from sparse stepping: with d = n-1 the
-	// member set is ~n and rejection sampling degenerates, and K_n's
-	// extreme cost-model thresholds mean the window would essentially
-	// never trigger anyway.
-	b.sparseOK = pw != nil && !b.tuned && (b.kind == kindVertex || b.kind == kindEdge)
-	b.handoffDisabled = pw == nil || (!b.tuned && !b.sparseOK)
+	// Hand-off eligibility: every pairwise rule on the tuned CSR+int32
+	// path, and DIV on every other non-complete backend. Implicit and
+	// compact complete topologies are excluded: with d = n-1 the member
+	// set is ~n and rejection sampling degenerates, and K_n's extreme
+	// cost-model thresholds mean the window would essentially never
+	// trigger anyway.
+	b.handoffDisabled = pw == nil || (!b.tuned && b.kind == kindComplete)
 	if cfg.Engine == EngineFast && b.handoffDisabled {
-		return nil, fmt.Errorf("core: fast engine on %q requires a materialized CSR graph and int32 opinions, or a non-complete implicit/compact DIV run (sparse endgame engine)", topo.Name())
+		return nil, fmt.Errorf("core: fast engine on %q: the sparse discordance engine serves pairwise rules on CSR graphs with int32 opinions and DIV on non-complete implicit/compact runs", topo.Name())
 	}
 	return b, nil
 }
@@ -1473,51 +1449,20 @@ func (b *blockRun) chunkGeneric(row *blockRow) {
 	row.windowDraws += limit
 }
 
-// handoff retires row from the blocked loop to the sequential engine —
-// the fast/hybrid loop on the tuned CSR+int32 path, the sparse endgame
-// engine everywhere else. For EngineAuto the hand-off state's exact
-// mass double-checks the noisy windowed trigger first (as hybridLoop
-// does): if discordance is still above the exit threshold the row
-// bounces back to blocked stepping with an exponentially growing
-// cooldown. A FastState/SparseState construction failure (degree-lcm
-// overflow) is fatal under EngineFast and disables hand-off for the
-// whole batch under EngineAuto — it is a property of (graph, process),
-// not of the trial.
-func (b *blockRun) handoff(row *blockRow) error {
-	if b.sparseOK {
-		return b.handoffSparse(row)
-	}
-	row.wantFast = false
-	f, err := b.arena.fastFor(row, b.proc)
-	if err != nil {
-		if b.engine == EngineFast {
-			return fmt.Errorf("core: block trial %d: %w", row.trial, err)
-		}
-		b.handoffDisabled = true
-		return nil
-	}
-	if b.engine == EngineAuto && f.num*b.exitScale > f.den {
-		row.cooldown = row.nextCooldown
-		if row.nextCooldown < hybridMaxCooldown {
-			row.nextCooldown *= 2
-		}
-		return nil
-	}
-	b.retire(row, f)
-	row.done = true
-	return nil
-}
-
-// handoffSparse is handoff's implicit/compact branch: seed the arena's
-// shared sparse set with one O(n·d) enumeration pass and finish the
-// trial under sparse skip-sampling. Under EngineAuto the exact mass
-// vetoes noisy triggers (bounce + cooldown, as the fast branch does),
-// and a mid-flight rebound returns the row to blocked stepping instead
-// of finishing sequentially — the blocked loop IS the naive regime
-// here, so the row resumes it rather than a per-row naive loop.
+// handoffSparse moves row from the blocked loop to the discordance
+// engine: seed the arena's shared set with one O(n·d) enumeration pass
+// and continue the trial under skip-sampling. Under EngineAuto the
+// exact mass vetoes noisy triggers first (as hybridLoop does): if
+// discordance is still above the exit threshold the row bounces back
+// to blocked stepping with an exponentially growing cooldown, and a
+// mid-flight rebound returns the row to blocked stepping the same way —
+// the blocked loop IS the naive regime here. A SparseState
+// construction failure (degree-lcm overflow) is fatal under EngineFast
+// and disables hand-off for the whole batch under EngineAuto — it is a
+// property of (graph, process), not of the trial.
 func (b *blockRun) handoffSparse(row *blockRow) error {
 	row.wantFast = false
-	sp, err := b.arena.sparseFor(row, b.proc)
+	sp, err := b.arena.sparseFor(row.s, b.proc)
 	if err != nil {
 		if b.engine == EngineFast {
 			return fmt.Errorf("core: block trial %d: %w", row.trial, err)
@@ -1525,7 +1470,7 @@ func (b *blockRun) handoffSparse(row *blockRow) error {
 		b.handoffDisabled = true
 		return nil
 	}
-	if b.engine == EngineAuto && sp.num*b.exitScale > sp.den {
+	if b.engine == EngineAuto && massAbove(sp, b.exitScale) {
 		row.cooldown = row.nextCooldown
 		if row.nextCooldown < hybridMaxCooldown {
 			row.nextCooldown *= 2
@@ -1536,13 +1481,14 @@ func (b *blockRun) handoffSparse(row *blockRow) error {
 	b.flushRow(row)
 	s := row.s
 	if row.probe != nil {
+		num, den := sp.ActiveMass()
 		row.probe.EngineSwitch(obs.EngineSwitch{
 			Step:    s.Steps(),
 			From:    obs.RegimeBlock,
 			To:      obs.RegimeSparse,
 			Reason:  obs.SwitchWindow,
-			MassNum: sp.num,
-			MassDen: sp.den,
+			MassNum: num,
+			MassDen: den,
 		})
 	}
 	row.batch = obs.StepBatch{FromStep: s.Steps()}
@@ -1570,47 +1516,6 @@ func (b *blockRun) handoffSparse(row *blockRow) error {
 	}
 	row.done = true
 	return nil
-}
-
-// retire finishes row's trial under the sequential engine — the fast
-// loop for EngineFast, the hybrid loop (seeded with the arena FastState
-// via fastPre) for EngineAuto. The trial keeps drawing from its own
-// stream through row.r, so the hand-off point being chunk-aligned does
-// not couple trials. The sequential loops run the trial to completion
-// before returning, which is what lets the block share one FastState.
-func (b *blockRun) retire(row *blockRow, f *FastState) {
-	sched, err := NewScheduler(row.s, b.proc)
-	if err != nil {
-		// Unreachable: min degree was validated at construction.
-		panic(err)
-	}
-	b.flushRow(row)
-	s := row.s
-	env := &loopEnv{
-		s:            s,
-		sched:        sched,
-		rule:         b.rule,
-		r:            row.r,
-		maxSteps:     b.maxSteps,
-		observeEvery: b.observeEvery,
-		probe:        row.probe,
-		batch:        obs.StepBatch{FromStep: s.Steps()},
-		nextEmit:     (s.Steps()/b.observeEvery + 1) * b.observeEvery,
-		res:          &row.res,
-		done:         func() bool { return stopMet(s, b.stop) },
-		onSupport:    func() { b.supportEvent(row) },
-	}
-	if b.engine == EngineFast {
-		f.loop(env, b.pw)
-	} else {
-		env.fastPre = f
-		env.hybridLoop(b.pw, b.proc)
-	}
-	// The arena FastState moves on to the next retiring row; drop its
-	// discordance hook from this row's state and realign the (already
-	// flushed) block batch so finalize doesn't re-emit the fast span.
-	f.detachDiscordance()
-	row.batch = obs.StepBatch{FromStep: s.Steps()}
 }
 
 // finalize completes row's Result, emits the probe Done event, stores

@@ -189,9 +189,10 @@ func TestBlockDistributionEquivalence(t *testing.T) {
 
 // TestBlockAutoHandoffEquivalence exercises the blocked→fast hand-off
 // boundary statistically: with the hybrid window shrunk, small-graph
-// runs genuinely trigger the windowed hand-off, retire to the
-// sequential hybrid loop on the arena FastState, and must still match
-// the naive law. Not parallel: it mutates the package-level window.
+// runs genuinely trigger the windowed hand-off to the arena
+// SparseState, bounce back to blocked stepping on rebounds, and must
+// still match the naive law. Not parallel: it mutates the
+// package-level window.
 func TestBlockAutoHandoffEquivalence(t *testing.T) {
 	oldWindow := hybridWindow
 	hybridWindow = 64

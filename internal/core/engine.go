@@ -17,14 +17,16 @@ const (
 	// including the no-op steps where the scheduled pair already agrees.
 	// It is the reference implementation and the default.
 	EngineNaive Engine = iota
-	// EngineFast tracks the discordant (disagreeing) pairs incrementally
-	// and advances the step counter past runs of idle steps in one
-	// geometric draw; see fast.go for the construction and DESIGN.md §6
-	// for why the law is preserved exactly. It requires the rule to be a
-	// PairwiseRule.
+	// EngineFast tracks the discordant (disagreeing) vertices
+	// incrementally (SparseState) and advances the step counter past
+	// runs of idle steps in one geometric draw; see sparse.go for the
+	// construction and DESIGN.md §6 for why the law is preserved
+	// exactly. It requires the rule to be a PairwiseRule. Seeded
+	// trajectories are law-equivalent to EngineNaive's, not
+	// byte-identical.
 	EngineFast
 	// EngineAuto adapts at runtime: it steps naively while discordance
-	// is high and switches to the fast engine's skip-sampling when a
+	// is high and switches to the same skip-sampling engine when a
 	// windowed idle-fraction estimate says the O(d(v))
 	// per-active-step bookkeeping will pay for itself (hybrid.go). Runs
 	// whose rule is not a PairwiseRule stay naive throughout.
@@ -71,10 +73,10 @@ const (
 )
 
 // engineFor resolves cfg.Engine to a concrete stepper. stepFast comes
-// with a ready *FastState; stepHybrid builds (and drops) FastStates
-// lazily as discordance falls and rebounds. EngineFast errors when the
-// run is ineligible; EngineAuto silently stays naive.
-func engineFor(cfg Config, s *State, rule Rule) (stepMode, *FastState, error) {
+// with a ready *SparseState; stepHybrid builds (and reseeds) one lazily
+// as discordance falls and rebounds. EngineFast errors when the run is
+// ineligible; EngineAuto silently stays naive.
+func engineFor(cfg Config, s *State, rule Rule) (stepMode, *SparseState, error) {
 	switch cfg.Engine {
 	case EngineNaive:
 		return stepNaive, nil, nil
@@ -82,8 +84,8 @@ func engineFor(cfg Config, s *State, rule Rule) (stepMode, *FastState, error) {
 		if _, ok := rule.(PairwiseRule); !ok {
 			return 0, nil, fmt.Errorf("core: fast engine requires a PairwiseRule, got %q", rule.Name())
 		}
-		fs, err := newFastStateFor(cfg.Scratch, s, cfg.Process)
-		return stepFast, fs, err
+		sp, err := sparseFor(cfg.Scratch, s, cfg.Process)
+		return stepFast, sp, err
 	case EngineAuto:
 		if _, ok := rule.(PairwiseRule); !ok {
 			return stepNaive, nil, nil

@@ -2,14 +2,9 @@
 
 package core
 
-// fastCheckInvariants compiles to a no-op unless the divtestinvariants
-// build tag is set (fast_invariants_on.go), so the fast engine's hot
-// path carries no checking overhead in normal builds and benchmarks.
-func fastCheckInvariants(*FastState) {}
-
 // sparseCheckInvariants compiles to a no-op unless the
 // divtestinvariants build tag is set (fast_invariants_on.go), keeping
-// the sparse engine's O(d) update free of checking overhead.
+// the discordance engine's O(d) update free of checking overhead.
 func sparseCheckInvariants(*SparseState) {}
 
 // invariantChecksEnabled reports whether this build re-derives the

@@ -2,24 +2,13 @@
 
 package core
 
-// With the divtestinvariants build tag, every FastState opinion update
-// re-derives the discordance bookkeeping from scratch and panics on the
-// first divergence from the incremental aggregates. O(n + m) per update
-// — run `go test -tags divtestinvariants ./internal/core` (the Makefile
-// `invariants` target) to exercise it; never enable it for benchmarks.
-func fastCheckInvariants(f *FastState) {
-	if err := f.CheckDiscordance(); err != nil {
-		panic(err)
-	}
-	if err := f.s.CheckInvariants(); err != nil {
-		panic(err)
-	}
-}
-
-// sparseCheckInvariants re-derives the sparse engine's discordant-
-// vertex set from scratch after every opinion update and panics on the
-// first divergence (membership, counts, position index, mass
-// aggregates). O(n·d) per update — divtestinvariants builds only.
+// sparseCheckInvariants re-derives the discordance engine's
+// discordant-vertex set from scratch after every opinion update and
+// panics on the first divergence (membership, counts, buckets, position
+// index, mass aggregates), then re-checks the State's own aggregates.
+// O(n·d) per update — run `go test -tags divtestinvariants
+// ./internal/core` (the Makefile `invariants` target) to exercise it;
+// never enable it for benchmarks.
 func sparseCheckInvariants(sp *SparseState) {
 	if err := sp.CheckSparse(); err != nil {
 		panic(err)

@@ -10,14 +10,15 @@ import (
 )
 
 // TestFastInvariantHookActive runs the fast engine end-to-end with the
-// divtestinvariants build tag enabled, so fastCheckInvariants (the
-// tagged hook in fast_invariants_on.go) recomputes the full discordance
-// bookkeeping from scratch after *every* SetOpinion and panics on any
-// mismatch. A green run here is the property test of satellite record:
-// the incremental O(d(v)) updates agree with the ground-truth recompute
-// at every single state the engine visits.
+// divtestinvariants build tag enabled, so sparseCheckInvariants (the
+// tagged hook in fast_invariants_on.go) recomputes the whole
+// discordant-vertex set from scratch after *every* SetOpinion and
+// panics on any mismatch. A green run here is the property test of
+// record: the incremental O(d(v)) updates agree with the ground-truth
+// recompute at every single state the engine visits, on every CSR test
+// family and both processes.
 func TestFastInvariantHookActive(t *testing.T) {
-	for name, g := range testGraphs(t) {
+	for name, g := range bookkeepingGraphs(t) {
 		for _, proc := range []Process{VertexProcess, EdgeProcess} {
 			t.Run(fmt.Sprintf("%s/%v", name, proc), func(t *testing.T) {
 				n := g.N()

@@ -48,20 +48,33 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// TestFastStateBookkeeping is the property test for the incremental
-// discordance accounting: after every opinion update, recomputing the
-// discordant-arc index and active mass from scratch must match the
-// incrementally maintained values, on every family and both processes.
-func TestFastStateBookkeeping(t *testing.T) {
-	for name, g := range testGraphs(t) {
+// bookkeepingGraphs extends testGraphs with irregular CSR families —
+// a star and a star with a tail — so the degree-bucketed edge sampler
+// and the vertex process's lcm units are exercised on the CSR path.
+func bookkeepingGraphs(t testing.TB) map[string]*graph.Graph {
+	gs := testGraphs(t)
+	gs["star"] = graph.Star(9)
+	gs["startail"] = graph.MustFromEdges(6, []graph.Edge{
+		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 3, V: 4}, {U: 4, V: 5},
+	})
+	return gs
+}
+
+// TestSparseStateBookkeeping is the property test for the incremental
+// discordance accounting on CSR graphs: after every opinion update,
+// recomputing the discordant-vertex set, its buckets, and the active
+// mass from scratch must match the incrementally maintained values, on
+// every family and both processes.
+func TestSparseStateBookkeeping(t *testing.T) {
+	for name, g := range bookkeepingGraphs(t) {
 		for _, proc := range []Process{VertexProcess, EdgeProcess} {
 			r := rng.New(rng.DeriveSeed(0xb00c, uint64(g.N())+uint64(proc)))
 			s := MustState(g, UniformOpinions(g.N(), 4, r))
-			f, err := NewFastState(s, proc)
+			sp, err := NewSparseState(s, proc)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, proc, err)
 			}
-			if err := f.CheckDiscordance(); err != nil {
+			if err := sp.CheckSparse(); err != nil {
 				t.Fatalf("%s/%v after build: %v", name, proc, err)
 			}
 			for step := 0; step < 400; step++ {
@@ -69,8 +82,8 @@ func TestFastStateBookkeeping(t *testing.T) {
 				// range-contracting rule (including no-ops).
 				v := r.IntN(g.N())
 				x := s.Min() + r.IntN(s.Range()+1)
-				f.SetOpinion(v, x)
-				if err := f.CheckDiscordance(); err != nil {
+				sp.SetOpinion(v, x)
+				if err := sp.CheckSparse(); err != nil {
 					t.Fatalf("%s/%v step %d (v=%d x=%d): %v", name, proc, step, v, x, err)
 				}
 			}
@@ -79,11 +92,11 @@ func TestFastStateBookkeeping(t *testing.T) {
 }
 
 // TestFastSampleDiscordantExact verifies the conditional pair law on a
-// small fixed configuration: the exact rational active mass for both
-// processes, and the sampled pair frequencies against the closed-form
-// conditional law — uniform over discordant arcs for the edge process,
-// ∝ 1/d(v) for the vertex process (exercising the rejection step, since
-// the graph is irregular).
+// small fixed CSR configuration: the exact rational active mass for
+// both processes, and the sampled pair frequencies against the
+// closed-form conditional law — uniform over discordant arcs for the
+// edge process, ∝ 1/d(v) for the vertex process (exercising the
+// rejection on d(v), since the graph is irregular).
 func TestFastSampleDiscordantExact(t *testing.T) {
 	// Star-with-tail: degrees differ so the vertex process weights are
 	// non-uniform. Vertices: 0 center of star {1,2,3}, tail 3-4.
@@ -92,23 +105,23 @@ func TestFastSampleDiscordantExact(t *testing.T) {
 	// Discordant arcs: (0,1),(1,0),(0,3),(3,0) — vertices 2,4 agree with
 	// every neighbour.
 	s := MustState(g, init)
-	f, err := NewFastState(s, VertexProcess)
+	sp, err := NewSparseState(s, VertexProcess)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// d(0)=3, d(1)=1, d(3)=2 ⇒ L = lcm(3,1,2,1) = 6; the numerator sums
 	// L/d(tail) over discordant arcs: (0,1):2 + (1,0):6 + (0,3):2 +
 	// (3,0):3 = 13 over den 5·6.
-	num, den := f.ActiveMass()
+	num, den := sp.ActiveMass()
 	if num != 13 || den != 30 {
 		t.Fatalf("vertex ActiveMass = %d/%d, want 13/30", num, den)
 	}
 
-	fe, err := NewFastState(s, EdgeProcess)
+	se, err := NewSparseState(s, EdgeProcess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	num, den = fe.ActiveMass()
+	num, den = se.ActiveMass()
 	if num != 4 || den != 8 {
 		t.Fatalf("edge ActiveMass = %d/%d, want 4/8", num, den)
 	}
@@ -124,13 +137,13 @@ func TestFastSampleDiscordantExact(t *testing.T) {
 	}
 	const samples = 200000
 	for name, tc := range map[string]struct {
-		fs   *FastState
+		sp   *SparseState
 		want map[[2]int]float64
-	}{"vertex": {f, wantVertex}, "edge": {fe, wantEdge}} {
+	}{"vertex": {sp, wantVertex}, "edge": {se, wantEdge}} {
 		r := rng.New(rng.DeriveSeed(0xd15c, uint64(len(name))))
 		got := map[[2]int]int{}
 		for i := 0; i < samples; i++ {
-			v, w := tc.fs.sampleDiscordant(r)
+			v, w := tc.sp.sampleDiscordant(r)
 			got[[2]int{v, w}]++
 		}
 		if len(got) != len(tc.want) {
@@ -140,6 +153,132 @@ func TestFastSampleDiscordantExact(t *testing.T) {
 			emp := float64(got[pair]) / samples
 			if math.Abs(emp-p) > 0.005 { // ~4.5σ at 200k samples
 				t.Errorf("%s: P[%v] = %.4f, want %.4f", name, pair, emp, p)
+			}
+		}
+	}
+}
+
+// TestSparseDegreeLcm: on an irregular topology the vertex process's
+// units L/d(v) are exact integers with L the lcm of the distinct
+// degrees and den = n·L; on a regular topology, and for the edge
+// process, every unit is 1 and den = 2m.
+func TestSparseDegreeLcm(t *testing.T) {
+	for name, g := range bookkeepingGraphs(t) {
+		s := MustState(g, UniformOpinions(g.N(), 3, rng.New(7)))
+		for _, proc := range []Process{VertexProcess, EdgeProcess} {
+			sp, err := NewSparseState(s, proc)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, proc, err)
+			}
+			if proc == EdgeProcess || g.IsRegular() {
+				if sp.lcm != 0 || sp.den != g.DegreeSum() {
+					t.Errorf("%s/%v: lcm=%d den=%d, want unit weights over 2m=%d", name, proc, sp.lcm, sp.den, g.DegreeSum())
+				}
+				continue
+			}
+			want := int64(1)
+			for v := 0; v < g.N(); v++ {
+				d := int64(g.Degree(v))
+				want = want / gcd64(want, d) * d
+			}
+			if sp.lcm != want || sp.den != int64(g.N())*want {
+				t.Errorf("%s/%v: lcm=%d den=%d, want lcm %d den %d", name, proc, sp.lcm, sp.den, want, int64(g.N())*want)
+			}
+			for v := 0; v < g.N(); v++ {
+				if sp.lcm%int64(g.Degree(v)) != 0 {
+					t.Errorf("%s: L=%d not divisible by d(%d)=%d", name, sp.lcm, v, g.Degree(v))
+				}
+			}
+		}
+	}
+}
+
+// TestSparseDegreeLcmOverflow: the prime-degree caterpillar pushes the
+// degree lcm over the cap. The vertex process must refuse to build a
+// SparseState rather than wrap, while the edge process builds with unit
+// weights (lcm 0, every unit 1, den = 2m).
+func TestSparseDegreeLcmOverflow(t *testing.T) {
+	g := primeCaterpillar()
+	s := MustState(g, UniformOpinions(g.N(), 3, rng.New(5)))
+	if sp, err := NewSparseState(s, VertexProcess); err == nil || sp != nil {
+		t.Errorf("vertex process accepted a degree-lcm overflow: sp=%v err=%v", sp != nil, err)
+	}
+	sp, err := NewSparseState(s, EdgeProcess)
+	if err != nil {
+		t.Fatalf("edge process rejected the irregular graph: %v", err)
+	}
+	if sp.lcm != 0 || sp.den != g.DegreeSum() {
+		t.Errorf("edge process: lcm=%d den=%d, want unit weights over 2m=%d", sp.lcm, sp.den, g.DegreeSum())
+	}
+}
+
+// TestSparseDegreeLcmOverflowCirculant: the overflow fallback on a
+// materialized implicit circulant whose pendant chains push a prefix of
+// its vertices to distinct prime degrees with an lcm above the cap. The
+// vertex process must refuse to build, the edge process (unit weights)
+// must build, and the pure circulant must stay at unit weights.
+func TestSparseDegreeLcmOverflowCirculant(t *testing.T) {
+	topo, err := graph.NewImplicitCirculant(16, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := graph.MustMaterialize(topo)
+	// lcm(4, 5, 7, 11, …, 47) > 2^30: every circulant vertex starts at
+	// degree 4; pendants raise vertex i to primes[i].
+	primes := []int{5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
+	edges := base.Edges()
+	next := base.N()
+	for i, want := range primes {
+		for have := base.Degree(i); have < want; have++ {
+			edges = append(edges, graph.Edge{U: i, V: next})
+			next++
+		}
+	}
+	g := graph.MustFromEdges(next, edges)
+	s := MustState(g, UniformOpinions(g.N(), 3, rng.New(5)))
+	if _, err := NewSparseState(s, VertexProcess); err == nil {
+		t.Error("vertex process accepted a degree-lcm overflow")
+	}
+	if _, err := NewSparseState(s, EdgeProcess); err != nil {
+		t.Errorf("edge process rejected the irregular graph: %v", err)
+	}
+	sb := MustState(base, UniformOpinions(base.N(), 3, rng.New(5)))
+	sp, err := NewSparseState(sb, VertexProcess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.lcm != 0 || sp.den != base.DegreeSum() {
+		t.Errorf("circulant: lcm=%d den=%d, want unit weights over %d", sp.lcm, sp.den, base.DegreeSum())
+	}
+}
+
+// TestSparseBucketBounds: the edge process on an irregular topology
+// files each member under b = ⌈log2 d(v)⌉, whose draw bound 2^b lies in
+// [d(v), 2d(v)), so a round accepts with probability above
+// diff(v)/2d(v); every other configuration uses one list.
+func TestSparseBucketBounds(t *testing.T) {
+	for name, g := range bookkeepingGraphs(t) {
+		s := MustState(g, UniformOpinions(g.N(), 2, rng.New(3)))
+		for _, proc := range []Process{VertexProcess, EdgeProcess} {
+			sp, err := NewSparseState(s, proc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if proc == VertexProcess || g.IsRegular() {
+				if sp.fixed < 0 {
+					t.Errorf("%s/%v: members filed by degree, want one list", name, proc)
+				}
+				continue
+			}
+			if sp.fixed >= 0 {
+				t.Fatalf("%s/%v: one list, want degree buckets", name, proc)
+			}
+			for v := 0; v < g.N(); v++ {
+				d := g.Degree(v)
+				b := sp.bucket(v)
+				if bound := 1 << b; bound < d || bound >= 2*d {
+					t.Errorf("%s: bound 2^%d outside [d, 2d) for d(%d)=%d", name, b, v, d)
+				}
 			}
 		}
 	}
@@ -381,12 +520,10 @@ func TestAutoHeuristic(t *testing.T) {
 	}
 }
 
-// TestFastDegreeLcmOverflow: wildly irregular degree sets overflow the
-// vertex process's exact integer scaling; EngineFast must error and
-// EngineAuto must fall back.
-func TestFastDegreeLcmOverflow(t *testing.T) {
-	// A caterpillar whose spine vertices have many distinct prime-ish
-	// degrees: lcm(3,5,7,11,13,17,19,23,29,31,37,41,43,47) > 2^30.
+// primeCaterpillar is a caterpillar whose spine vertices have many
+// distinct prime-ish degrees: lcm(3,5,7,11,13,17,19,23,29,31,37,41,43,47)
+// > 2^30, so the vertex process's exact integer scaling overflows.
+func primeCaterpillar() *graph.Graph {
 	primes := []int{3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
 	var edges []graph.Edge
 	next := len(primes)
@@ -408,7 +545,15 @@ func TestFastDegreeLcmOverflow(t *testing.T) {
 			have++
 		}
 	}
-	g := graph.MustFromEdges(next, edges)
+	return graph.MustFromEdges(next, edges)
+}
+
+// TestFastDegreeLcmOverflow: wildly irregular degree sets overflow the
+// vertex process's exact integer scaling; EngineFast must error and
+// EngineAuto must fall back, while the edge process (unit weights)
+// accepts the same graph.
+func TestFastDegreeLcmOverflow(t *testing.T) {
+	g := primeCaterpillar()
 	r := rng.New(3)
 	init := UniformOpinions(g.N(), 3, r)
 	if _, err := Run(Config{Graph: g, Initial: init, Engine: EngineFast, Seed: 4, Process: VertexProcess}); err == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,10 @@ import (
 // Per-path equality of the two engines is *not* asserted — they consume
 // randomness differently by design — but both are held to the identical
 // pathwise contract; the distributional match is tested separately in
-// equivalence_test.go.
+// equivalence_test.go. A final arm drives the fast engine's SparseState
+// directly on the same (typically irregular) CSR graph through sampled
+// DIV steps and adversarial updates, re-deriving the whole
+// discordant-vertex set after each one.
 func FuzzFastEngine(f *testing.F) {
 	f.Add(uint8(5), uint64(0), []byte{0, 3, 6, 1, 2}, false, uint64(1))
 	f.Add(uint8(7), uint64(0x5a5a5a5a), []byte{9, 9, 0}, true, uint64(42))
@@ -146,6 +150,23 @@ func FuzzFastEngine(f *testing.F) {
 			}
 			if !reflect.DeepEqual(res, res2) {
 				t.Errorf("%v: reused-scratch result diverged\nfresh:  %+v\nreused: %+v", engine, res, res2)
+			}
+		}
+
+		s := MustState(g, init)
+		sp, err := NewSparseState(s, proc)
+		if err != nil {
+			t.Skipf("sparse set: %v", err) // degree-lcm overflow cannot occur at n ≤ 10
+		}
+		r := rand.New(rand.NewPCG(seed, 0xf05e))
+		for i := 0; i < 64 && s.Range() > 0; i++ {
+			if num, _ := sp.ActiveMass(); num > 0 && r.IntN(2) == 0 {
+				sp.activeStep(r, DIV{})
+			} else {
+				sp.SetOpinion(r.IntN(n), s.Min()+r.IntN(s.Range()+1))
+			}
+			if err := sp.CheckSparse(); err != nil {
+				t.Fatalf("sparse op %d: %v", i, err)
 			}
 		}
 	})

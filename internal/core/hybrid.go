@@ -19,26 +19,30 @@ import "div/internal/obs"
 // so the concatenated trajectory has the same joint distribution as
 // either pure engine, stopping times and observer call sites included.
 //
-// Cost model. A naive draw costs ~1 unit; one fast active iteration
-// costs ~hybridCostRatio·(d̄/3 + 4) units (O(d̄) arc toggles plus the
-// constant geometric-skip and sampling overhead; measured on a
-// 10k-vertex 16-regular graph a naive draw is ~25ns and a fast active
-// iteration ~200–280ns ≈ 9 draws ≈ d̄/3 + 4). Skip-sampling therefore
-// pays when the expected draws per active step, 1/p, exceed that:
+// Cost model. A naive draw costs ~1 unit; one fast active iteration —
+// geometric skip, rejection draw, O(d̄) count repair — is modelled at
+// hybridCostRatio·(d̄/3 + 4) units. Skip-sampling pays when the
+// expected draws per active step, 1/p, exceed that:
 //
 //	enter fast: windowed active fraction < 1 / (2·R·(d̄/3 + 4))
 //	exit fast:  exact p_active        > 1 / (R·(d̄/3 + 4))
 //
-// with R = hybridCostRatio. The factor-2 gap is hysteresis; entry uses
-// a cheap per-window counter, exit the exact mass the fast state
-// already maintains. Because the minority-size random walk of a final
-// stage re-crosses any fixed threshold many times, two further guards
-// keep transition costs amortized: the FastState is built once and
-// re-entered via an O(arcs) Reset (structural arrays are reused), and
-// each fast→naive exit starts an exponentially growing cooldown
-// (1, 2, 4, … windows, capped) before the next entry is considered.
-// On dense graphs (K_n: d̄ ≈ n) the thresholds become correspondingly
-// extreme, which is exactly right: there the fast engine only wins when
+// with R = hybridCostRatio. Measured on a 2-vCPU 2.1 GHz Xeon VM
+// (two-opinion states at p ≈ 0.01–0.2, 2·10⁶-draw runs), an active
+// iteration costs 230–270 ns ≈ 10–14 naive draws on rr(10⁴,8) and
+// 300–450 ns ≈ 12–18 draws on rr(10⁴,16): about twice the model. The
+// model is kept: with the measured cost u' ≈ 2(d̄/3 + 4) the entry
+// threshold sits at the break-even 1/u', and doubling R moved no E20
+// auto median beyond run-to-run noise. The factor-2 gap between the thresholds is hysteresis; entry
+// uses a cheap per-window counter, exit the exact mass the set already
+// maintains. Because the minority-size random walk of a final stage
+// re-crosses any fixed threshold many times, two further guards keep
+// transition costs amortized: the SparseState is built once and
+// re-entered via an O(n·d) Seed (its arrays are reused), and each
+// fast→naive exit starts an exponentially growing cooldown (1, 2, 4, …
+// windows, capped) before the next entry is considered. On dense
+// graphs (K_n: d̄ ≈ n) the thresholds become correspondingly extreme,
+// which is exactly right: there the fast engine only wins when
 // discordance is truly microscopic.
 
 var (
@@ -48,9 +52,8 @@ var (
 	hybridWindow = int64(4096)
 	// hybridCostRatio scales the modelled cost of one fast active
 	// iteration, in units of naive draws, relative to the baseline
-	// d̄/3 + 4 (see hybridCostUnits). 1 matches measurement on random
-	// regular graphs; raising it makes Auto more reluctant to leave
-	// naive stepping.
+	// d̄/3 + 4 (see hybridCostUnits and the cost model above); raising
+	// it makes Auto more reluctant to leave naive stepping.
 	hybridCostRatio = int64(1)
 	// hybridMaxCooldown caps the exponential re-entry backoff, in
 	// windows, so a long run can still return to fast mode reasonably
@@ -59,8 +62,9 @@ var (
 )
 
 // hybridCostUnits returns d̄/3 + 4: the modelled cost of one fast-engine
-// active iteration in units of naive draws (O(d̄) arc toggles dominate
-// for dense graphs, constant skip/sample overhead for sparse ones).
+// active iteration in units of naive draws (the O(d̄) count repair
+// dominates for dense graphs, constant skip/sample overhead for sparse
+// ones).
 func hybridCostUnits(g interface {
 	N() int
 	DegreeSum() int64
@@ -78,8 +82,8 @@ func hybridCostUnits(g interface {
 
 // hybridLoop alternates between the naive and fast loop bodies under
 // the switching policy above. rule is the run's rule, already checked
-// to be a PairwiseRule; proc is needed to build the FastState on the
-// first naive→fast transition (later transitions Reset it in place).
+// to be a PairwiseRule; proc is needed to build the SparseState on the
+// first naive→fast transition (later transitions reseed it in place).
 func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 	s := e.s
 	costUnits := hybridCostRatio * hybridCostUnits(s.Graph())
@@ -87,7 +91,7 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 	exitScale := costUnits      // num·exitScale > den ⇒ exit
 	fastDisabled := e.observer != nil && e.observeEvery < 8
 
-	var f *FastState
+	var f *SparseState
 	inFast := false
 	var cooldown int64       // windows left before entry may be considered
 	nextCooldown := int64(1) // doubles on every fast→naive exit
@@ -100,7 +104,7 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 	// the active fraction from a few hundred uniform arcs — a function
 	// of the current state and independent coin flips, so entering here
 	// is as lawful a stopping time as the windowed trigger — and build
-	// the fast index straight away when it is clearly below threshold.
+	// the discordant set straight away when it is clearly below threshold.
 	if !fastDisabled {
 		if arcs := s.Graph().DegreeSum(); arcs > 0 {
 			const probes = 512
@@ -112,19 +116,20 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 				}
 			}
 			if active*enterScale < probes {
-				if fs, err := e.newFast(s, proc); err != nil {
+				if fs, err := sparseFor(e.scratch, s, proc); err != nil {
 					fastDisabled = true
-				} else if f = fs; f.num*exitScale <= f.den {
+				} else if f = fs; !massAbove(f, exitScale) {
 					inFast = true
 					f.attachDiscordance()
 					if e.probe != nil {
+						num, den := f.ActiveMass()
 						e.probe.EngineSwitch(obs.EngineSwitch{
 							Step:    s.Steps(),
 							From:    obs.RegimeNaive,
 							To:      obs.RegimeFast,
 							Reason:  obs.SwitchProbe,
-							MassNum: f.num,
-							MassDen: f.den,
+							MassNum: num,
+							MassDen: den,
 						})
 					}
 				}
@@ -178,7 +183,7 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 					cooldown--
 				case !fastDisabled && windowActive*enterScale < windowDraws:
 					if f == nil {
-						fs, err := e.newFast(s, proc)
+						fs, err := sparseFor(e.scratch, s, proc)
 						if err != nil {
 							// e.g. degree-lcm overflow: naive-only from here on.
 							fastDisabled = true
@@ -186,12 +191,12 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 							f = fs
 						}
 					} else {
-						f.Reset()
+						f.Seed()
 					}
 					// The windowed estimate is noisy; trust the exact mass.
 					// If it is already past the exit threshold, entering
 					// would bounce straight back — back off instead.
-					if f != nil && f.num*exitScale > f.den {
+					if f != nil && massAbove(f, exitScale) {
 						cooldown = nextCooldown
 						if nextCooldown < hybridMaxCooldown {
 							nextCooldown *= 2
@@ -201,6 +206,7 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 						f.attachDiscordance()
 						if e.probe != nil {
 							e.flushBatch(obs.RegimeNaive)
+							num, den := f.ActiveMass()
 							e.probe.EngineSwitch(obs.EngineSwitch{
 								Step:         s.Steps(),
 								From:         obs.RegimeNaive,
@@ -208,8 +214,8 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 								Reason:       obs.SwitchWindow,
 								WindowDraws:  windowDraws,
 								WindowActive: windowActive,
-								MassNum:      f.num,
-								MassDen:      f.den,
+								MassNum:      num,
+								MassDen:      den,
 							})
 						}
 					}
@@ -218,7 +224,7 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 			}
 			continue
 		}
-		// Fast mode: one skip-sampling iteration (mirrors FastState.loop).
+		// Fast mode: one skip-sampling iteration (mirrors SparseState.loop).
 		limit := e.maxSteps - s.Steps()
 		if e.observer != nil {
 			if toBoundary := e.observeEvery - s.Steps()%e.observeEvery; toBoundary < limit {
@@ -236,8 +242,7 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 				e.batch.Skipped += k
 				e.batch.Active++
 			}
-			v, w := f.sampleDiscordant(e.r)
-			f.SetOpinion(v, rule.Target(int(s.opinions[v]), int(s.opinions[w])))
+			f.activeStep(e.r, rule)
 			if s.SupportVersion() != prevVersion {
 				e.onSupport()
 				prevVersion = s.SupportVersion()
@@ -286,6 +291,14 @@ func (e *loopEnv) hybridLoop(rule PairwiseRule, proc Process) {
 		e.flushBatch(obs.RegimeNaive)
 	}
 	if f != nil {
-		f.flushSamplerMetrics()
+		f.detachDiscordance()
+		f.flushDraws()
 	}
+}
+
+// massAbove reports whether sp's exact active mass exceeds the hybrid
+// exit threshold 1/scale.
+func massAbove(sp *SparseState, scale int64) bool {
+	num, den := sp.ActiveMass()
+	return num*scale > den
 }

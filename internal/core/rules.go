@@ -23,7 +23,7 @@ type Rule interface {
 // but v rewritten, and agreement a fixed point (Target(x, x) == x).
 // Such rules cannot change the state on a concordant draw, which is
 // exactly the property the fast engine's idle-step skipping relies on
-// (fast.go); Config.Engine Fast/Auto only accelerate PairwiseRules.
+// (sparse.go); Config.Engine Fast/Auto only accelerate PairwiseRules.
 type PairwiseRule interface {
 	Rule
 	// Target returns v's next opinion when v holding xv observes xw.

@@ -40,9 +40,11 @@ type Config struct {
 	Rule Rule
 	// Engine selects the stepping strategy: EngineNaive (default)
 	// simulates every scheduler invocation, EngineFast skip-samples idle
-	// steps via discordance tracking (fast.go), EngineAuto picks
-	// whichever is expected to be faster. All engines realize the exact
-	// same process distribution.
+	// steps through the discordance engine (SparseState, sparse.go),
+	// EngineAuto switches between the two as discordance falls and
+	// rebounds. All engines realize the exact same process
+	// distribution; only EngineNaive's seeded trajectories are
+	// byte-stable across engine changes.
 	Engine Engine
 	// Seed seeds the run's private PCG stream.
 	Seed uint64
@@ -74,7 +76,7 @@ type Config struct {
 	// changes (the paper's {1,2,5}→{1,2,4}→… evolution).
 	TraceSupport bool
 	// Scratch, when non-nil, supplies reusable per-worker state: the
-	// run resets the scratch's State, FastState, and RNG in place
+	// run resets the scratch's State, SparseState, and RNG in place
 	// instead of allocating fresh ones, making repeated trials on the
 	// same graph O(1) allocations each. The scratch must be bound to
 	// the same Graph (NewScratch(cfg.Graph)) and must not be shared
@@ -162,7 +164,7 @@ func Run(cfg Config) (Result, error) {
 		r = rng.New(cfg.Seed)
 	}
 
-	mode, fast, err := engineFor(cfg, s, rule)
+	mode, sp, err := engineFor(cfg, s, rule)
 	if err != nil {
 		return Result{}, err
 	}
@@ -230,7 +232,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	switch mode {
 	case stepFast:
-		fast.loop(env, rule.(PairwiseRule))
+		sp.loop(env, rule.(PairwiseRule))
 	case stepHybrid:
 		env.hybridLoop(rule.(PairwiseRule), cfg.Process)
 	default:
@@ -256,10 +258,10 @@ func Run(cfg Config) (Result, error) {
 }
 
 // loopEnv carries the per-run context shared by the stepping engines:
-// the naive per-invocation loop below and the skip-sampling fast loop
-// in fast.go. Both loops have identical observable behaviour — the same
-// trajectory law, stopping times, milestone recording, and observer
-// call sites.
+// the naive per-invocation loop below, the skip-sampling fast loop in
+// sparse.go, and the hybrid in hybrid.go. All have identical observable
+// behaviour — the same trajectory law, stopping times, milestone
+// recording, and observer call sites.
 type loopEnv struct {
 	s            *State
 	scratch      *Scratch // nil = allocate engine state per run
@@ -275,12 +277,6 @@ type loopEnv struct {
 	res          *Result
 	done         func() bool
 	onSupport    func() // milestone + stage recording on support change
-	// fastPre, when non-nil, is a ready-to-Reset FastState the hybrid
-	// loop must use for its first naive→fast entry instead of building
-	// one through newFastStateFor. The blocked kernel's hand-off path
-	// (block.go) sets it so a whole block of trials shares one arena
-	// FastState instead of allocating O(arcs) per trial.
-	fastPre *FastState
 }
 
 // stopMet evaluates a stopping condition against the current state.
@@ -298,19 +294,6 @@ func stopMet(s *State, stop StopCondition) bool {
 	default: // UntilMaxSteps: only the step cap stops the run
 		return false
 	}
-}
-
-// newFast builds (or reuses) the FastState for the hybrid loop's next
-// fast entry: a pre-installed arena state (fastPre, consumed once) when
-// the blocked kernel handed this run off, the scratch's cached one
-// otherwise. The returned state is Reset against s's current opinions.
-func (e *loopEnv) newFast(s *State, proc Process) (*FastState, error) {
-	if f := e.fastPre; f != nil {
-		e.fastPre = nil
-		f.Reset()
-		return f, nil
-	}
-	return newFastStateFor(e.scratch, s, proc)
 }
 
 // flushBatch emits the step batch accumulated since the last flush,

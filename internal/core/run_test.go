@@ -44,6 +44,14 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Graph: graph.Complete(3), Initial: []int{1}}); err == nil {
 		t.Error("bad initial length accepted")
 	}
+	// An unknown process must surface as an error from the fast engine,
+	// with and without a scratch (whose arena indexes by process).
+	g := graph.Cycle(6)
+	for _, sc := range []*Scratch{nil, NewScratch(g)} {
+		if _, err := Run(Config{Graph: g, Initial: []int{1, 2, 1, 2, 1, 2}, Process: Process(7), Engine: EngineFast, Scratch: sc}); err == nil {
+			t.Errorf("unknown process accepted (scratch %v)", sc != nil)
+		}
+	}
 }
 
 func TestRunUntilTwoAdjacent(t *testing.T) {

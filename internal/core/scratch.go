@@ -14,11 +14,13 @@ import (
 var scratchReuseTotal = obs.Default.Counter("core_scratch_reuse_total")
 
 // Scratch is a per-worker arena of reusable simulation state for
-// repeated trials on one graph: the State, the engines' FastState
-// index, the RNG, and an initial-opinion buffer are allocated once and
-// reset in place by each run, so a steady-state trial performs O(1)
-// allocations instead of O(n + m). Wire one into Config.Scratch (the
-// sim harness's TrialsWorker does this per worker goroutine).
+// repeated trials on one graph: the State, the RNG, an initial-opinion
+// buffer, and the blocked-kernel arena — which also holds the
+// discordance engine's SparseStates that EngineFast and EngineAuto
+// reseed on both entry points — are allocated once and reset in place
+// by each run, so a steady-state trial performs O(1) allocations
+// instead of O(n). Wire one into Config.Scratch (the sim harness's
+// TrialsWorker does this per worker goroutine).
 //
 // A Scratch is not safe for concurrent use: it must be owned by a
 // single goroutine, and at most one Run may use it at a time. Reuse is
@@ -29,7 +31,6 @@ type Scratch struct {
 	g       *graph.Graph   // nil when bound to an implicit topology
 	topo    graph.Topology // the backing structure (== g when CSR)
 	state   *State
-	fast    [2]*FastState // indexed by Process (vertex, edge)
 	pcg     *rand.PCG
 	r       *rand.Rand
 	initBuf []int
@@ -102,30 +103,10 @@ func (sc *Scratch) stateFor(g *graph.Graph, initial []int) (*State, error) {
 	return sc.state, nil
 }
 
-// fastFor returns a FastState for the scratch's State under proc,
-// reusing (and Reset-ing) the one built by an earlier trial when
-// available. A state other than the scratch's own falls through to a
-// fresh NewFastState.
-func (sc *Scratch) fastFor(s *State, proc Process) (*FastState, error) {
-	if s != sc.state || (proc != VertexProcess && proc != EdgeProcess) {
-		return NewFastState(s, proc)
-	}
-	if f := sc.fast[proc]; f != nil {
-		f.Reset()
-		return f, nil
-	}
-	f, err := NewFastState(s, proc)
-	if err != nil {
-		return nil, err
-	}
-	sc.fast[proc] = f
-	return f, nil
-}
-
 // blockArenaFor returns the scratch's blocked-kernel arena, allocating
 // it on first use. The arena (block.go) owns the SoA opinion slab, the
-// per-trial row states, and the per-process hand-off FastStates; like
-// the rest of the scratch it is bound to one graph and one goroutine.
+// per-trial row states, and the per-process SparseStates; like the
+// rest of the scratch it is bound to one graph and one goroutine.
 func (sc *Scratch) blockArenaFor(t graph.Topology) (*blockArena, error) {
 	if t != sc.topo {
 		return nil, fmt.Errorf("core: Config.Scratch is bound to %v, but the run's topology is %v", sc.topo, t)
@@ -136,12 +117,18 @@ func (sc *Scratch) blockArenaFor(t graph.Topology) (*blockArena, error) {
 	return sc.blk, nil
 }
 
-// newFastStateFor builds (or reuses, when a scratch is present) the
-// FastState for s under proc: the single construction funnel for the
-// fast and hybrid engines.
-func newFastStateFor(sc *Scratch, s *State, proc Process) (*FastState, error) {
-	if sc != nil {
-		return sc.fastFor(s, proc)
+// sparseFor returns the discordance engine's SparseState for s under
+// proc, seeded against s's current opinions: the single construction
+// funnel for the sequential fast and hybrid loops. With a scratch the
+// state comes from (and stays in) the scratch's arena, so repeated
+// trials reseed one O(n) position index instead of allocating it.
+func sparseFor(sc *Scratch, s *State, proc Process) (*SparseState, error) {
+	if sc == nil || s != sc.state {
+		return NewSparseState(s, proc)
 	}
-	return NewFastState(s, proc)
+	a, err := sc.blockArenaFor(sc.topo)
+	if err != nil {
+		return nil, err
+	}
+	return a.sparseFor(s, proc)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -43,7 +44,7 @@ func replayTrial(t *testing.T, g *graph.Graph, proc Process, engine Engine, seed
 // the fresh-allocation Result exactly — same winner, same step counts,
 // same support trace — for every engine and process. The hybrid knobs
 // are shrunk so EngineAuto genuinely crosses the naive↔fast boundary
-// (and therefore exercises the cached FastState Reset path); not
+// (and therefore exercises the arena SparseState reseed path); not
 // parallel for that reason.
 func TestScratchReplayByteIdentical(t *testing.T) {
 	oldWindow, oldRatio := hybridWindow, hybridCostRatio
@@ -85,7 +86,7 @@ func TestScratchGraphMismatch(t *testing.T) {
 }
 
 // allocGraphs are the allocation-regression workloads: a star (its
-// irregular degrees force the bucketed vertex sampler), a complete
+// irregular degrees force the degree buckets and lcm units), a complete
 // graph (implicit-adjacency scheduler), and a cycle (regular CSR path).
 func allocGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
@@ -178,94 +179,147 @@ func TestScratchReusedTrialAllocBound(t *testing.T) {
 	}
 }
 
-// TestBucketedSamplerDrawBound pins the degree-bucketed sampler's two
-// promises on the star — the old tail-rejection sampler's bad case:
-// (i) the conditional law P[tail = v] ∝ diff(v)/d(v) is exact, and
-// (ii) the draw cost is O(1) attempts. On a power-of-two star every
-// unit equals its bucket bound, so every attempt accepts and the
-// attempt count is exactly the sample count.
+// samplerChi2 draws samples pairs from sp and χ²-tests the category
+// frequencies against the exact law (category → probability), where
+// cat maps an ordered pair to its category. It returns the mean number
+// of rejection rounds per draw.
+func samplerChi2(t *testing.T, sp *SparseState, r *rand.Rand, samples int, cat func(v, w int) int, want []float64) float64 {
+	t.Helper()
+	got := make([]int64, len(want))
+	draws0 := sp.draws
+	for i := 0; i < samples; i++ {
+		v, w := sp.sampleDiscordant(r)
+		if sp.x(v) == sp.x(w) {
+			t.Fatalf("sampled concordant pair (%d,%d)", v, w)
+		}
+		got[cat(v, w)]++
+	}
+	exp := make([]float64, len(want))
+	for i, p := range want {
+		exp[i] = p * float64(samples)
+	}
+	stat, df, err := stats.ChiSquare(got, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stat > chi2Crit001[df] {
+		t.Errorf("χ²(%d) = %.2f > %.2f (α=0.001): observed %v, expected %v", df, stat, chi2Crit001[df], got, exp)
+	}
+	return float64(sp.draws-draws0) / float64(samples)
+}
+
+// TestBucketedSamplerDrawBound pins the rejection sampler's two
+// promises on the star with every edge discordant — the dmax-bounded
+// edge sampler's bad case (j < 512 accepted leaves once in 512): (i)
+// the conditional law of the tail is exact — P[tail = v] ∝ diff(v)/d(v)
+// (vertex), ∝ diff(v) (edge) — and (ii) a draw costs O(1) rounds, at
+// most 4 on average. Tails are grouped as the hub plus eight blocks of
+// 64 leaves. Here every bound equals the degree, so every round
+// accepts.
 func TestBucketedSamplerDrawBound(t *testing.T) {
 	const n, samples = 513, 20000
-	g := graph.Star(n) // hub degree 512: units 1 (hub) and 512 (leaves)
+	g := graph.Star(n) // hub degree 512, leaves degree 1
 	init := make([]int, n)
 	init[0] = 2
 	for v := 1; v < n; v++ {
 		init[v] = 1 // every edge discordant
 	}
-	s, err := NewState(g, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFastState(s, VertexProcess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.bucketed {
-		t.Fatal("star vertex process did not select the bucketed sampler")
-	}
-	r := rng.New(0x57a2)
-	hub := 0
-	for i := 0; i < samples; i++ {
-		v, w := f.sampleDiscordant(r)
+	s := MustState(g, init)
+	cat := func(v, _ int) int {
 		if v == 0 {
-			hub++
+			return 0
 		}
-		if v != 0 && w != 0 {
-			t.Fatalf("sampled non-edge (%d,%d)", v, w)
+		return 1 + (v-1)/64
+	}
+	for _, tc := range []struct {
+		proc Process
+		hub  float64 // exact P[tail = hub]
+	}{
+		{VertexProcess, 1.0 / n},    // 512 arcs of weight 1/512 against 512 of weight 1
+		{EdgeProcess, 512.0 / 1024}, // uniform over 1024 arcs
+	} {
+		sp, err := NewSparseState(s, tc.proc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if f.draws != samples {
-		t.Errorf("power-of-two star: %d attempts for %d samples, want equal", f.draws, samples)
-	}
-	// P[tail = hub] = Σ_{hub arcs} unit_hub / num = 512·1/(512·513) = 1/513.
-	if z := stats.BinomialZ(hub, samples, 1.0/float64(n)); math.Abs(z) > 5 {
-		t.Errorf("hub-tail frequency %d/%d vs exact %.5f: z = %.2f", hub, samples, 1.0/float64(n), z)
+		want := make([]float64, 9)
+		want[0] = tc.hub
+		for b := 1; b < 9; b++ {
+			want[b] = (1 - tc.hub) / 8
+		}
+		perDraw := samplerChi2(t, sp, rng.New(0x57a2+uint64(tc.proc)), samples, cat, want)
+		if perDraw > 4 {
+			t.Errorf("%v: %.2f rounds per draw, want ≤ 4", tc.proc, perDraw)
+		}
+		// A run flushes its rounds to sampler_bucket_draws_total on
+		// exit, at least one per active step. (The run leaves the
+		// all-discordant state, so rounds per step are not bounded here:
+		// an edge-process hub with k discordant leaves accepts k/512.)
+		var p collectingProbe
+		before := bucketDrawsTotal.Value()
+		if _, err := Run(Config{Graph: g, Initial: init, Process: tc.proc, Engine: EngineFast,
+			Stop: UntilMaxSteps, MaxSteps: 4096, Seed: 0x57a3, Probe: &p}); err != nil {
+			t.Fatal(err)
+		}
+		var active int64
+		for _, b := range p.batches {
+			active += b.Active
+		}
+		if rounds := bucketDrawsTotal.Value() - before; active == 0 || rounds < active {
+			t.Errorf("%v: counter advanced %d rounds over %d active steps, want at least one per step", tc.proc, rounds, active)
+		}
 	}
 }
 
-// TestBucketedSamplerRejectionLaw exercises the within-bucket rejection
-// branch: K₄ minus an edge puts degrees 2 and 3 in the same bucket
-// (units 3 and 2 against bound 3), so degree-3 tails reject with
-// probability 1/3. With all opinions distinct every neighbour is
-// discordant and the conditional law collapses to P[tail = v] = 1/n
-// exactly; expected attempts per draw are 1.25.
+// TestBucketedSamplerRejectionLaw exercises both rejection branches on
+// K₄ minus an edge (degrees 3,2,3,2) with opinions 1,2,1,2, so the
+// degree-3 vertices have 2 of 3 arcs discordant. Vertex process: a
+// uniform member and j < d(v) accept with probability 2/3 or 1 and the
+// ordered-pair law is ∝ 1/d(v) (1/10 per arc out of 0 or 2, 3/20 out
+// of 1 or 3); 1.2 expected rounds per draw. Edge process: degrees 3
+// and 2 land in buckets with bounds 4 and 2, the law is uniform over
+// the 8 discordant arcs, and a draw costs 12/8 = 1.5 expected rounds.
 func TestBucketedSamplerRejectionLaw(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 0, V: 2},
 	})
-	s, err := NewState(g, []int{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFastState(s, VertexProcess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.bucketed {
-		t.Fatal("irregular graph did not select the bucketed sampler")
-	}
-	const samples = 20000
-	r := rng.New(0x4e1)
-	var tails [4]int
-	for i := 0; i < samples; i++ {
-		v, _ := f.sampleDiscordant(r)
-		tails[v]++
-	}
-	for v, c := range tails {
-		if z := stats.BinomialZ(c, samples, 0.25); math.Abs(z) > 5 {
-			t.Errorf("tail %d frequency %d/%d vs exact 0.25: z = %.2f", v, c, samples, z)
+	s := MustState(g, []int{1, 2, 1, 2})
+	arcs := [][2]int{{0, 1}, {0, 3}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 0}, {3, 2}}
+	cat := func(v, w int) int {
+		for i, a := range arcs {
+			if a == [2]int{v, w} {
+				return i
+			}
 		}
+		t.Fatalf("sampled non-discordant arc (%d,%d)", v, w)
+		return -1
 	}
-	if f.draws > 2*samples {
-		t.Errorf("%d attempts for %d samples, want ≤ %d (expected 1.25·samples)",
-			f.draws, samples, 2*samples)
+	for _, tc := range []struct {
+		proc   Process
+		want   []float64
+		rounds float64
+	}{
+		{VertexProcess, []float64{0.1, 0.1, 0.15, 0.15, 0.1, 0.1, 0.15, 0.15}, 1.2},
+		{EdgeProcess, []float64{0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125}, 1.5},
+	} {
+		sp, err := NewSparseState(s, tc.proc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const samples = 20000
+		perDraw := samplerChi2(t, sp, rng.New(0x4e1+uint64(tc.proc)), samples, cat, tc.want)
+		// Rounds are geometric with mean tc.rounds; 0.1 is > 10σ at 20k.
+		if math.Abs(perDraw-tc.rounds) > 0.1 {
+			t.Errorf("%v: %.3f rounds per draw, want ≈ %.2f", tc.proc, perDraw, tc.rounds)
+		}
 	}
 }
 
-// BenchmarkStarVertexFastStep measures the bucketed sampler's per-step
-// cost on a large star under the vertex process — the workload whose
-// old rejection loop degenerated with the degree ratio. Fixed-length
-// runs on a reused scratch isolate the steady-state step cost.
+// BenchmarkStarVertexFastStep measures the discordance engine's
+// per-step cost on a large star under the vertex process — the
+// workload whose degree ratio once made rejection degenerate.
+// Fixed-length runs on a reused scratch isolate the steady-state step
+// cost.
 func BenchmarkStarVertexFastStep(b *testing.B) {
 	g := graph.Star(8192)
 	sc := NewScratch(g)

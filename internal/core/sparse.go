@@ -2,116 +2,150 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"div/internal/graph"
 	"div/internal/obs"
 )
 
-// This file implements the sparse endgame engine: geometric
-// skip-sampling for runs the fast engine (fast.go) cannot serve —
-// implicit topologies and compact opinion slabs — with memory
-// proportional to the live discordance, not to the arc count.
+// This file implements the discordance engine behind EngineFast and
+// EngineAuto: geometric skip-sampling over an incrementally maintained
+// set of the discordant vertices, on any graph.Topology and either
+// opinion representation, with memory proportional to the live
+// discordance rather than to the arc count. Both entry points use it:
+// core.Run's sequential loops (loop below, hybridLoop in hybrid.go) and
+// the blocked kernel's hand-off (retireSparse below).
 //
-// The fast engine's discordance index stores a per-arc position array
-// (O(m) int32s) plus the discordant-edge list. That is exactly the
-// memory the implicit families were built to avoid: at n = 10⁶–10⁷ a
-// per-arc index re-creates the CSR footprint the Topology interface
-// removed, so until now every implicit/compact run stepped naively
-// through its entire idle-dominated tail and EngineAuto degenerated to
-// EngineNaive. The sparse engine keeps instead a swap-delete set of the
-// currently *discordant vertices* — vertices with at least one
-// neighbour holding a different opinion — with a per-member count of
-// discordant incident arcs:
+// The observation behind it is the paper's own: once opinions are
+// locally similar, almost every scheduler invocation draws a pair
+// (v, w) with X_v == X_w and changes nothing — on expanders the Θ(n²)
+// final stage is dominated by exactly these idle draws. For any
+// PairwiseRule the state can only change on a discordant draw, the
+// idle draws are exchangeable, and the number of idle draws before the
+// next discordant one is Geometric(p), so the engine samples that
+// length directly, advances the step counter past the idle steps
+// without simulating them, and then draws the active pair from the
+// exact conditional law given that the draw is discordant. DESIGN.md §6
+// gives the argument in full.
 //
-//	list  []int32  the discordant vertices, unordered
-//	diffs []int32  diffs[j] = diff(list[j]), the member's discordant-arc count
-//	pos   []int32  pos[v] = slot of v in list, or -1
+// The set. A swap-delete list of the currently discordant vertices —
+// vertices with at least one neighbour holding a different opinion —
+// each stored with its count of discordant incident arcs:
 //
-// pos is O(n) (4 bytes/vertex — at n = 10⁶ that is 4 MB against the
-// ~200 MB CSR+ArcIndex estimate of an 8-regular graph); list and diffs
-// are O(D_t), the live discordance. An opinion update at v can only
-// change diff over {v} ∪ N(v), so SetOpinion repairs the set with one
-// O(d(v)) neighbourhood walk — the same local-update cost the fast
-// engine pays, without any arc-indexed storage.
+//	lists [][]member  the members, filed by sampler bucket (see below)
+//	pos   []int32     pos[v] = slot of v in its bucket's list, or -1
+//
+// pos is O(n) (4 bytes/vertex); the lists are O(D_t), the live
+// discordance. An opinion update at v can only change the counts over
+// {v} ∪ N(v), so SetOpinion repairs the set with one O(d(v))
+// neighbourhood walk. When the topology is a *graph.Graph and the state
+// holds int32 opinions, the walks read the CSR offsets and adjacency
+// slices directly; otherwise they go through the Topology interface.
+// diff counts arcs with multiplicity, so multigraph families
+// (HashedRegular) weight parallel edges exactly as the schedulers draw
+// them.
 //
 // Active mass. The probability that one scheduler invocation is active
-// is maintained as an exact integer rational, exactly as in fast.go:
+// is maintained as an exact integer rational:
 //
-//	edge process:   p = Σ_v diff(v) / 2m        (num = Σ diff, den = degree sum)
-//	vertex process: p = (1/n)·Σ_v diff(v)/d(v)  (num = Σ diff(v)·L/d(v), den = n·L)
+//	edge process:   p = Σ_v diff(v) / 2m
+//	vertex process: p = (1/n)·Σ_v diff(v)/d(v)
 //
-// with L the lcm of the distinct degrees (computed in the seed pass,
-// capped at graph.MaxDegreeLCM like the fast engine's vertex units; on
-// the cap the constructor errors and callers stay naive). diff counts
-// arcs with multiplicity, so multigraph families (HashedRegular) weight
-// parallel edges exactly as the schedulers draw them.
+// On a regular topology the vertex process's p is also Σ diff / 2m, so
+// every unit is 1 and no division is needed. Only the vertex process on
+// an irregular topology scales 1/d(v) by L = lcm of the distinct
+// degrees (num = Σ diff(v)·L/d(v), den = n·L), capped at
+// graph.MaxDegreeLCM; on the cap the constructor errors and callers
+// stay naive.
 //
-// Conditional pair draw. The active pair is drawn by rejection from the
-// vertex set, which needs no weight arrays at all:
+// Conditional pair draw. Each rejection round reads one member's
+// stored count and no neighbour: it draws a member slot and an index j
+// below the member's bound, accepts iff j < diff, and only then scans
+// v's neighbours once for the j-th discordant one:
 //
-//	vertex: slot ~ U[list], v = list[slot]; j ~ U[0, d(v)),
-//	        w = Neighbor(v, j); accept iff X_v ≠ X_w.
-//	        P[(v,w) | accept] ∝ (1/|list|)·(1/d(v)) ∝ 1/d(v) — the exact
-//	        vertex-process conditional, irregular degrees included.
-//	edge:   slot ~ U[list]; j ~ U[0, d_max); reject j ≥ d(v);
-//	        w = Neighbor(v, j); accept iff X_v ≠ X_w.
-//	        P[(v,w) | accept] uniform over discordant arcs — the exact
-//	        edge-process conditional.
+//	uniform-arc law (edge process; vertex process on a regular
+//	topology): members are filed in lists[b] by b = ⌈log2 d(v)⌉, and
+//	one draw x < Σ_b |lists[b]|·2^b picks the list b, the slot x>>b and
+//	j = x mod 2^b. Every (member, j) pair has the same probability per
+//	round, so the accepted arc is uniform over the discordant arcs; a
+//	round accepts with probability diff(v)/2^b > diff(v)/2d(v). A
+//	regular topology has the single list b = ⌈log2 d⌉.
+//	vertex process, irregular topology: one list; a uniform slot, then
+//	j < d(v). The accepted arc (v, w) has probability ∝ 1/d(v), the
+//	vertex-process conditional, and a round accepts with probability
+//	diff(v)/d(v).
 //
-// Every member has diff ≥ 1, so each round accepts with probability at
-// least 1/d_max(v-side) and the expected cost per active step is O(d̄)
-// — the same order as the O(d) repair that follows. Unlike the fast
-// engine there is no per-arc bucket structure to keep exact degree
-// weighting cheap; the rejection loop plays that role, trading a small
-// constant factor for O(D_t) memory.
+// Rejection rounds are tallied locally and published to
+// sampler_bucket_draws_total when a stepping loop exits, so attempts
+// per active step can be read off the counters.
 //
 // Distribution- not byte-equivalence: the naive kernels realize an
-// active step by drawing (v, w) directly; the sparse engine consumes
-// its stream through geomSkip and the rejection loop instead, so a
-// handed-off trajectory diverges pointwise from the naive one while
-// keeping the exact same law (the same argument as EngineFast — see
-// DESIGN.md §6 and §14). The equivalence tests therefore compare
-// distributions (χ²/KS), not bytes, exactly as they do for EngineFast.
+// active step by drawing (v, w) directly; this engine consumes its
+// stream through geomSkip and the rejection rounds instead, so its
+// trajectories diverge pointwise from the naive ones while keeping the
+// exact same law. The equivalence tests therefore compare distributions
+// (χ²/KS), not bytes.
 
 var (
 	// sparseHandoffsTotal counts blocked-kernel rows that retired to the
-	// sparse endgame engine (including EngineFast-at-start retirements).
+	// discordance engine (including EngineFast-at-start retirements).
 	sparseHandoffsTotal = obs.Default.Counter("core_sparse_handoffs_total")
-	// sparseSetPeak is the high-water mark, in bytes, of the sparse
-	// engine's working set (pos + list + diffs) across all runs.
+	// sparseSetPeak is the high-water mark, in bytes, of the engine's
+	// working set (pos + member lists) across all runs.
 	sparseSetPeak = obs.Default.Gauge("sparse_set_peak")
-	// sparseSessionTimer times each sparse stepping session (hand-off to
-	// exit) into the span_core_sparse_step_nanos histogram, making the
-	// tail phase visible on /metrics and in the -metrics footer.
+	// sparseSessionTimer times each blocked hand-off session (hand-off
+	// to exit) into the span_core_sparse_step_nanos histogram, making
+	// the tail phase visible on /metrics and in the -metrics footer.
 	sparseSessionTimer = obs.Default.Timer("core_sparse_step")
+	// bucketDrawsTotal counts the conditional pair sampler's rejection
+	// rounds, accepted and rejected, across all runs.
+	bucketDrawsTotal = obs.Default.Counter("sampler_bucket_draws_total")
 )
 
-// SparseState is the sparse endgame engine's mutable state: the
+// member is one discordant vertex with its discordant-arc count.
+type member struct{ v, diff int32 }
+
+// SparseState is the discordance engine's mutable state: the
 // swap-delete discordant-vertex set over a State, with the exact
 // rational active mass. All opinion updates must go through SetOpinion
 // while the set is authoritative.
 type SparseState struct {
 	s    *State
 	topo graph.Topology
-	proc Process
 
-	list  []int32 // discordant vertices (diff > 0), unordered
-	diffs []int32 // diffs[j] = discordant-arc count of list[j]
-	pos   []int32 // pos[v] = slot of v in list, or -1
+	// off and adj alias the CSR arrays when the topology is a
+	// *graph.Graph and the state holds int32 opinions; nil selects the
+	// Topology interface calls.
+	off []int64
+	adj []int32
 
-	num     int64 // active-mass numerator (see file comment)
-	den     int64 // active-mass denominator: 2m (edge) or n·L (vertex)
-	lcm     int64 // vertex process: L = lcm of distinct degrees; else 1
-	sumDiff int64 // Σ_v diff(v) = 2 · #discordant edges (with multiplicity)
-	dmax    int64 // max degree, the edge-process rejection bound
+	lists [][]member // members by sampler bucket (see the file comment)
+	pos   []int32    // pos[v] = slot of v in its bucket's list, or -1
+	// fixed is the one list every member is filed in when the bucket
+	// does not depend on the degree (a regular topology, or the vertex
+	// process), and -1 when members are filed by vb[v] = ⌈log2 d(v)⌉
+	// (the edge process on an irregular topology; vb is nil otherwise).
+	fixed int
+	vb    []uint8
+	nbuf  []int32 // SetOpinion's neighbour-class scratch, 2·d(v) entries
+
+	num      int64 // active-mass numerator when lcm > 0 (else sumDiff)
+	den      int64 // active-mass denominator: 2m, or n·L when lcm > 0
+	lcm      int64 // vertex process on an irregular topology: L; else 0
+	sumDiff  int64 // Σ_v diff(v) = 2 · #discordant edges (with multiplicity)
+	envelope int64 // Σ_b len(lists[b])·2^b, the uniform-arc draw range
+	draws    int64 // rejection rounds not yet flushed to bucketDrawsTotal
 
 	countFn func() int64 // O(1) count for State.DiscordantEdges
 }
 
-// NewSparseState builds the discordant-vertex set for s under proc with
-// one O(n·d) enumeration pass over the state's Topology. It errors when
-// the vertex process's degree-lcm scaling would overflow (wildly
+// NewSparseState builds the discordant-vertex set for s under proc. A
+// regular topology needs no degree pass; otherwise one O(n) pass files
+// every vertex's bucket (edge process) or finds the degree lcm (vertex
+// process), then Seed enumerates every neighbour list once. It errors
+// when the vertex process's degree-lcm scaling would overflow (wildly
 // irregular degree sequences); callers fall back to naive stepping.
 func NewSparseState(s *State, proc Process) (*SparseState, error) {
 	if proc != VertexProcess && proc != EdgeProcess {
@@ -119,42 +153,73 @@ func NewSparseState(s *State, proc Process) (*SparseState, error) {
 	}
 	topo := s.Topology()
 	n := topo.N()
+	dmin := topo.MinDegree()
+	if dmin < 1 {
+		return nil, fmt.Errorf("core: fast engine requires min degree >= 1")
+	}
 	sp := &SparseState{
 		s:    s,
 		topo: topo,
-		proc: proc,
 		pos:  make([]int32, n),
-		lcm:  1,
+		den:  topo.DegreeSum(),
 	}
-	if proc == VertexProcess {
+	sp.bind(s)
+	switch {
+	case int64(n)*int64(dmin) == topo.DegreeSum():
+		// Regular: both processes draw a uniform discordant arc.
+		sp.fixed = bits.Len(uint(dmin - 1))
+	case proc == EdgeProcess:
+		sp.fixed = -1
+		sp.vb = make([]uint8, n)
+		bmax := uint8(0)
+		for v := range sp.vb {
+			sp.vb[v] = uint8(bits.Len(uint(sp.degree(v) - 1)))
+			bmax = max(bmax, sp.vb[v])
+		}
+		sp.lists = make([][]member, bmax+1)
+	default:
 		// L = lcm of the distinct degrees, so every unit L/d(v) is an
-		// exact integer. Same cap and fallback contract as the fast
-		// engine's ArcIndex.VertexUnits.
-		lcm := int64(1)
+		// exact integer. The gcd runs only where the degree changes.
+		lcm, prev := int64(1), 0
 		for v := 0; v < n; v++ {
-			d := int64(topo.Degree(v))
-			l := lcm / gcd64(lcm, d) * d
+			d := sp.degree(v)
+			if d == prev {
+				continue
+			}
+			prev = d
+			l := lcm / gcd64(lcm, int64(d)) * int64(d)
 			if l > graph.MaxDegreeLCM || l < 0 {
-				return nil, fmt.Errorf("core: sparse engine: vertex-process degree lcm exceeds %d on this degree sequence; use naive stepping", graph.MaxDegreeLCM)
+				return nil, fmt.Errorf("core: fast engine: vertex-process degree lcm exceeds %d on this degree sequence; use naive stepping", graph.MaxDegreeLCM)
 			}
 			lcm = l
 		}
 		sp.lcm = lcm
 		sp.den = int64(n) * lcm
-	} else {
-		sp.den = topo.DegreeSum()
+	}
+	if sp.lists == nil {
+		sp.lists = make([][]member, sp.fixed+1)
 	}
 	sp.countFn = func() int64 { return sp.sumDiff / 2 }
 	sp.Seed()
 	return sp, nil
 }
 
-// gcd64 is the binaryless Euclid gcd for positive int64s.
+// gcd64 is Euclid's gcd for positive int64s.
 func gcd64(a, b int64) int64 {
 	for b != 0 {
 		a, b = b, a%b
 	}
 	return a
+}
+
+// bind points the set at s, selecting the CSR slice walks when s is a
+// materialized graph with int32 opinions.
+func (sp *SparseState) bind(s *State) {
+	sp.s = s
+	sp.off, sp.adj = nil, nil
+	if g := s.Graph(); g != nil && s.opb == nil {
+		sp.off, sp.adj = g.Offsets(), g.Arcs()
+	}
 }
 
 // x returns vertex v's opinion in whichever representation is live —
@@ -167,52 +232,67 @@ func (sp *SparseState) x(v int) int32 {
 	return sp.s.opinions[v]
 }
 
-// unit returns the active-mass weight of one discordant arc with tail
-// v: 1 for the edge process, L/d(v) for the vertex process.
-func (sp *SparseState) unit(v int) int64 {
-	if sp.proc == EdgeProcess {
-		return 1
+// degree returns d(v), from the CSR offsets when they are bound.
+func (sp *SparseState) degree(v int) int {
+	if sp.off != nil {
+		return int(sp.off[v+1] - sp.off[v])
 	}
-	return sp.lcm / int64(sp.topo.Degree(v))
+	return sp.topo.Degree(v)
 }
 
-// Seed rebuilds the set against the wrapped State's current opinions:
-// the one O(n·d) enumeration pass of a hand-off. list and diffs are
-// reused across seeds; dmax is accumulated on the way.
-func (sp *SparseState) Seed() {
-	sp.list = sp.list[:0]
-	sp.diffs = sp.diffs[:0]
-	sp.num, sp.sumDiff, sp.dmax = 0, 0, 0
-	t := sp.topo
-	n := t.N()
-	for v := 0; v < n; v++ {
-		xv := sp.x(v)
-		d := t.Degree(v)
-		if int64(d) > sp.dmax {
-			sp.dmax = int64(d)
-		}
-		c := int32(0)
-		for i := 0; i < d; i++ {
-			if sp.x(t.Neighbor(v, i)) != xv {
+// bucket returns the list v is filed in: ⌈log2 d(v)⌉ for the
+// uniform-arc sampler on an irregular topology, the fixed list
+// otherwise.
+func (sp *SparseState) bucket(v int) int {
+	if b := sp.fixed; b >= 0 {
+		return b
+	}
+	return int(sp.vb[v])
+}
+
+// countDiscordant returns v's number of discordant incident arcs.
+func (sp *SparseState) countDiscordant(v int) int32 {
+	c := int32(0)
+	if sp.off != nil {
+		op := sp.s.opinions
+		xv := op[v]
+		for _, w := range sp.adj[sp.off[v]:sp.off[v+1]] {
+			if op[w] != xv {
 				c++
 			}
 		}
-		if c > 0 {
-			sp.pos[v] = int32(len(sp.list))
-			sp.list = append(sp.list, int32(v))
-			sp.diffs = append(sp.diffs, c)
-			sp.sumDiff += int64(c)
-			sp.num += int64(c) * sp.unit(v)
-		} else {
-			sp.pos[v] = -1
+		return c
+	}
+	xv := sp.x(v)
+	for i, d := 0, sp.topo.Degree(v); i < d; i++ {
+		if sp.x(sp.topo.Neighbor(v, i)) != xv {
+			c++
+		}
+	}
+	return c
+}
+
+// Seed rebuilds the set against the wrapped State's current opinions:
+// the one O(n·d) enumeration pass of a hand-off, reusing every array.
+func (sp *SparseState) Seed() {
+	for b := range sp.lists {
+		sp.lists[b] = sp.lists[b][:0]
+	}
+	sp.num, sp.sumDiff, sp.envelope = 0, 0, 0
+	for v := range sp.pos {
+		sp.pos[v] = -1
+		if c := sp.countDiscordant(v); c > 0 {
+			sp.addMass(v, c)
+			sp.insert(v, c)
 		}
 	}
 	sparseSetPeak.SetMax(sp.MemBytes())
 }
 
 // rebind repoints the set at another State over the same topology. The
-// blocked kernel's arena keeps ONE SparseState and lends it to whichever
-// row is retiring; a Seed after rebinding rebuilds everything
+// blocked kernel's arena (which Scratch also lends to the sequential
+// loops) keeps ONE SparseState per process and lends it to whichever
+// trial is stepping; a Seed after rebinding rebuilds everything
 // opinion-dependent. The caller must not leave a stale discordance hook
 // on the previous state (State.ResetTo clears it; detachDiscordance
 // does too).
@@ -220,7 +300,7 @@ func (sp *SparseState) rebind(s *State) {
 	if s.Topology() != sp.topo {
 		panic("core: SparseState.rebind across topologies")
 	}
-	sp.s = s
+	sp.bind(s)
 }
 
 // attachDiscordance makes the wrapped State's DiscordantEdges read the
@@ -239,32 +319,93 @@ func (sp *SparseState) DiscordantEdges() int64 { return sp.sumDiff / 2 }
 
 // ActiveMass returns the probability that one scheduler invocation is
 // active as the exact rational num/den.
-func (sp *SparseState) ActiveMass() (num, den int64) { return sp.num, sp.den }
+func (sp *SparseState) ActiveMass() (num, den int64) {
+	if sp.lcm == 0 {
+		return sp.sumDiff, sp.den
+	}
+	return sp.num, sp.den
+}
 
 // Members returns the number of currently discordant vertices.
-func (sp *SparseState) Members() int { return len(sp.list) }
+func (sp *SparseState) Members() int {
+	m := 0
+	for _, l := range sp.lists {
+		m += len(l)
+	}
+	return m
+}
 
 // MemBytes returns the set's current working-set footprint: the O(n)
-// position index plus the O(D) member and count arrays.
+// position index (plus the bucket bytes of the irregular edge process)
+// and the O(D) member lists.
 func (sp *SparseState) MemBytes() int64 {
-	return 4*int64(len(sp.pos)) + 8*int64(cap(sp.list))
+	b := 4*int64(len(sp.pos)) + int64(len(sp.vb)) + 4*int64(cap(sp.nbuf))
+	for _, l := range sp.lists {
+		b += 8 * int64(cap(l))
+	}
+	return b
+}
+
+// addMass adds delta discordant arcs at v to the mass aggregates; only
+// the irregular vertex process divides.
+func (sp *SparseState) addMass(v int, delta int32) {
+	sp.sumDiff += int64(delta)
+	if sp.lcm != 0 {
+		sp.addUnits(v, delta)
+	}
+}
+
+// addUnits adds delta arcs of unit L/d(v) to the vertex-process mass.
+func (sp *SparseState) addUnits(v int, delta int32) {
+	sp.num += int64(delta) * (sp.lcm / int64(sp.degree(v)))
+}
+
+// insert files v with count c > 0 at the end of its bucket's list.
+func (sp *SparseState) insert(v int, c int32) {
+	b := sp.bucket(v)
+	sp.pos[v] = int32(len(sp.lists[b]))
+	sp.lists[b] = append(sp.lists[b], member{int32(v), c})
+	sp.envelope += 1 << b
+}
+
+// drop swap-deletes the member at slot of list b.
+func (sp *SparseState) drop(b int, slot int32) {
+	l := sp.lists[b]
+	last := len(l) - 1
+	sp.pos[l[slot].v] = -1
+	if int(slot) != last {
+		l[slot] = l[last]
+		sp.pos[l[slot].v] = slot
+	}
+	sp.lists[b] = l[:last]
+	sp.envelope -= 1 << b
+}
+
+// b2i converts a bool to 0 or 1 without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // bump adjusts diff(w) by delta (±1), inserting or swap-deleting w as
-// its count crosses zero, and maintains the mass aggregates.
+// its count crosses zero. The caller adds delta to sumDiff; the
+// irregular vertex process's units are added here.
 func (sp *SparseState) bump(w int, delta int32) {
-	sp.sumDiff += int64(delta)
-	sp.num += int64(delta) * sp.unit(w)
+	if sp.lcm != 0 {
+		sp.addUnits(w, delta)
+	}
 	slot := sp.pos[w]
 	if slot < 0 {
-		sp.pos[w] = int32(len(sp.list))
-		sp.list = append(sp.list, int32(w))
-		sp.diffs = append(sp.diffs, delta)
+		sp.insert(w, delta)
 		return
 	}
-	sp.diffs[slot] += delta
-	if sp.diffs[slot] == 0 {
-		sp.dropSlot(slot)
+	b := sp.bucket(w)
+	m := &sp.lists[b][slot]
+	if m.diff += delta; m.diff == 0 {
+		sp.drop(b, slot)
 	}
 }
 
@@ -273,38 +414,22 @@ func (sp *SparseState) bump(w int, delta int32) {
 // maintenance as bump.
 func (sp *SparseState) setDiff(v int, c int32) {
 	slot := sp.pos[v]
-	old := int32(0)
-	if slot >= 0 {
-		old = sp.diffs[slot]
-	}
-	if c == old {
+	if slot < 0 {
+		if c > 0 {
+			sp.addMass(v, c)
+			sp.insert(v, c)
+		}
 		return
 	}
-	sp.sumDiff += int64(c - old)
-	sp.num += int64(c-old) * sp.unit(v)
-	switch {
-	case slot < 0:
-		sp.pos[v] = int32(len(sp.list))
-		sp.list = append(sp.list, int32(v))
-		sp.diffs = append(sp.diffs, c)
-	case c == 0:
-		sp.dropSlot(slot)
-	default:
-		sp.diffs[slot] = c
+	b := sp.bucket(v)
+	m := &sp.lists[b][slot]
+	if c == m.diff {
+		return
 	}
-}
-
-// dropSlot swap-deletes the member at slot, keeping list and diffs
-// parallel.
-func (sp *SparseState) dropSlot(slot int32) {
-	last := int32(len(sp.list) - 1)
-	v := sp.list[slot]
-	sp.list[slot] = sp.list[last]
-	sp.diffs[slot] = sp.diffs[last]
-	sp.pos[sp.list[slot]] = slot
-	sp.list = sp.list[:last]
-	sp.diffs = sp.diffs[:last]
-	sp.pos[v] = -1
+	sp.addMass(v, c-m.diff)
+	if m.diff = c; c == 0 {
+		sp.drop(b, slot)
+	}
 }
 
 // SetOpinion sets X_v = x through the wrapped State and repairs the
@@ -316,121 +441,294 @@ func (sp *SparseState) SetOpinion(v, x int) {
 		return
 	}
 	sp.s.SetOpinion(v, x)
-	nx := sp.x(v)
-	ox := int32(old)
+	nx, ox := sp.x(v), int32(old)
 	if sp.s.opb != nil {
-		ox = int32(old) - sp.s.base
+		ox -= sp.s.base
 	}
-	t := sp.topo
-	d := t.Degree(v)
-	c := int32(0)
-	for i := 0; i < d; i++ {
-		w := t.Neighbor(v, i)
-		xw := sp.x(w)
-		wasDisc := xw != ox
-		isDisc := xw != nx
-		if isDisc {
-			c++
+	// Classify v's neighbours in one branch-free pass — one holding the
+	// old opinion gains a discordant arc, one holding the new opinion
+	// loses one, any other is unchanged — then bump each class in its
+	// own loop, so a high-degree update mispredicts no per-neighbour
+	// branch.
+	d := sp.degree(v)
+	if cap(sp.nbuf) < 2*d {
+		sp.nbuf = make([]int32, 2*d)
+	}
+	up, down := sp.nbuf[:d], sp.nbuf[d:2*d]
+	nu, nd := 0, 0
+	if sp.off != nil {
+		op := sp.s.opinions
+		for _, w := range sp.adj[sp.off[v]:sp.off[v+1]] {
+			xw := op[w]
+			up[nu], down[nd] = w, w
+			nu += b2i(xw == ox)
+			nd += b2i(xw == nx)
 		}
-		if wasDisc == isDisc {
-			continue
-		}
-		if isDisc {
-			sp.bump(w, 1)
-		} else {
-			sp.bump(w, -1)
+	} else {
+		for i := 0; i < d; i++ {
+			w := sp.topo.Neighbor(v, i)
+			xw := sp.x(w)
+			up[nu], down[nd] = int32(w), int32(w)
+			nu += b2i(xw == ox)
+			nd += b2i(xw == nx)
 		}
 	}
-	sp.setDiff(v, c)
+	for _, w := range down[:nd] {
+		sp.bump(int(w), -1)
+	}
+	for _, w := range up[:nu] {
+		sp.bump(int(w), 1)
+	}
+	sp.sumDiff += int64(nu - nd)
+	sp.setDiff(v, int32(d-nd))
 	sparseCheckInvariants(sp)
 }
 
 // sampleDiscordant draws the next active ordered pair (v, w) from the
 // exact conditional law of the process given that the draw is
-// discordant, by rejection from the member set (see the file comment
-// for the law argument). It must only be called when ActiveMass() > 0,
-// which guarantees a member with diff ≥ 1 and hence termination.
+// discordant (see the file comment for the law argument). It must only
+// be called when ActiveMass() > 0, which guarantees a member with
+// diff ≥ 1 and hence termination.
 func (sp *SparseState) sampleDiscordant(r *rand.Rand) (v, w int) {
-	t := sp.topo
-	if sp.proc == VertexProcess {
+	v, j := sp.drawArc(r)
+	return v, sp.nthDiscordant(v, j)
+}
+
+// activeStep draws the next active pair and applies rule to it — the
+// stepping loops' use of sampleDiscordant. With two adjacent opinions
+// left, every discordant neighbour of v holds the other one, so the
+// target needs no neighbour scan.
+func (sp *SparseState) activeStep(r *rand.Rand, rule PairwiseRule) {
+	v, j := sp.drawArc(r)
+	s := sp.s
+	xv := s.Opinion(v)
+	xw := s.Min() + s.Max() - xv
+	if s.Range() > 1 {
+		xw = s.Opinion(sp.nthDiscordant(v, j))
+	}
+	sp.SetOpinion(v, rule.Target(xv, xw))
+}
+
+// drawArc runs the rejection rounds: it returns an accepted member v
+// and an index j < diff(v) naming one of v's discordant arcs, with
+// (v, j) distributed as the process's conditional law requires.
+func (sp *SparseState) drawArc(r *rand.Rand) (v, j int) {
+	if sp.lcm != 0 {
+		// Vertex process, irregular topology: a uniform member, j < d(v).
+		l := sp.lists[0]
 		for {
-			v := int(sp.list[r.Int64N(int64(len(sp.list)))])
-			w := t.Neighbor(v, int(r.Int64N(int64(t.Degree(v)))))
-			if sp.x(v) != sp.x(w) {
-				return v, w
+			sp.draws++
+			m := l[r.Int64N(int64(len(l)))]
+			if j := r.Int64N(int64(sp.degree(int(m.v)))); j < int64(m.diff) {
+				return int(m.v), int(j)
 			}
 		}
 	}
 	for {
-		v := int(sp.list[r.Int64N(int64(len(sp.list)))])
-		j := r.Int64N(sp.dmax)
-		if j >= int64(t.Degree(v)) {
-			continue
+		sp.draws++
+		x := r.Int64N(sp.envelope)
+		b := sp.fixed
+		if b < 0 {
+			b = 0
+			for m := int64(len(sp.lists[0])); x >= m; m = int64(len(sp.lists[b])) << b {
+				x -= m
+				b++
+			}
 		}
-		w := t.Neighbor(v, int(j))
-		if sp.x(v) != sp.x(w) {
-			return v, w
+		m := sp.lists[b][x>>b]
+		if j := x & (1<<b - 1); j < int64(m.diff) {
+			return int(m.v), int(j)
 		}
+	}
+}
+
+// nthDiscordant returns v's j-th discordant neighbour (0-based, in
+// neighbour order, parallel arcs counted separately). j must be below
+// diff(v).
+func (sp *SparseState) nthDiscordant(v, j int) int {
+	// The count-down is branch-free, so the scan mispredicts only its
+	// exit.
+	if sp.off != nil {
+		op := sp.s.opinions
+		xv := op[v]
+		for _, w := range sp.adj[sp.off[v]:sp.off[v+1]] {
+			if j -= b2i(op[w] != xv); j < 0 {
+				return int(w)
+			}
+		}
+	} else {
+		xv := sp.x(v)
+		for i, d := 0, sp.topo.Degree(v); i < d; i++ {
+			w := sp.topo.Neighbor(v, i)
+			if j -= b2i(sp.x(w) != xv); j < 0 {
+				return w
+			}
+		}
+	}
+	panic(fmt.Sprintf("core: vertex %d has fewer discordant arcs than its stored count", v))
+}
+
+// flushDraws publishes the accumulated rejection rounds to the
+// process-wide registry. Called once per loop exit so the hot path
+// touches only the local counter.
+func (sp *SparseState) flushDraws() {
+	if sp.draws != 0 {
+		bucketDrawsTotal.Add(sp.draws)
+		sp.draws = 0
 	}
 }
 
 // CheckSparse re-derives the discordant-vertex set from scratch and
 // returns an error describing the first inconsistency with the
 // incrementally maintained one: membership ⇔ diff > 0, per-member arc
-// counts, the position index, and the exact mass aggregates. The
-// divtestinvariants build tag arranges for this to run after every
-// opinion update (fast_invariants_on.go); the fuzz target and unit
-// tests also call it directly.
+// counts and buckets, the position index, and the exact mass
+// aggregates. The divtestinvariants build tag arranges for this to run
+// after every opinion update (fast_invariants_on.go); the fuzz targets
+// and unit tests also call it directly.
 func (sp *SparseState) CheckSparse() error {
-	t := sp.topo
-	n := t.N()
-	if len(sp.list) != len(sp.diffs) {
-		return fmt.Errorf("core: sparse list/diffs length mismatch (%d vs %d)", len(sp.list), len(sp.diffs))
-	}
-	var num, sumDiff int64
+	n := sp.topo.N()
+	var num, sumDiff, envelope int64
 	members := 0
 	for v := 0; v < n; v++ {
-		xv := sp.x(v)
-		d := t.Degree(v)
-		c := int32(0)
-		for i := 0; i < d; i++ {
-			if sp.x(t.Neighbor(v, i)) != xv {
-				c++
-			}
-		}
+		c := sp.countDiscordant(v)
 		slot := sp.pos[v]
 		if (slot >= 0) != (c > 0) {
 			return fmt.Errorf("core: vertex %d listed=%v, want diff=%d", v, slot >= 0, c)
 		}
-		if c > 0 {
-			if int(slot) >= len(sp.list) || sp.list[slot] != int32(v) {
-				return fmt.Errorf("core: vertex %d position index broken (pos=%d)", v, slot)
-			}
-			if sp.diffs[slot] != c {
-				return fmt.Errorf("core: vertex %d diff=%d, recomputed %d", v, sp.diffs[slot], c)
-			}
-			members++
-			sumDiff += int64(c)
-			num += int64(c) * sp.unit(v)
+		if c == 0 {
+			continue
+		}
+		b := sp.bucket(v)
+		if int(slot) >= len(sp.lists[b]) || sp.lists[b][slot].v != int32(v) {
+			return fmt.Errorf("core: vertex %d position index broken (bucket=%d pos=%d)", v, b, slot)
+		}
+		if got := sp.lists[b][slot].diff; got != c {
+			return fmt.Errorf("core: vertex %d diff=%d, recomputed %d", v, got, c)
+		}
+		members++
+		sumDiff += int64(c)
+		envelope += 1 << b
+		if sp.lcm != 0 {
+			num += int64(c) * (sp.lcm / int64(sp.degree(v)))
 		}
 	}
-	if members != len(sp.list) {
-		return fmt.Errorf("core: sparse set has %d members, want %d", len(sp.list), members)
+	if got := sp.Members(); got != members {
+		return fmt.Errorf("core: sparse set has %d members, want %d", got, members)
 	}
 	if sumDiff != sp.sumDiff {
 		return fmt.Errorf("core: sparse Σdiff=%d, recomputed %d", sp.sumDiff, sumDiff)
 	}
-	if num != sp.num {
+	if envelope != sp.envelope {
+		return fmt.Errorf("core: sparse envelope %d, recomputed %d", sp.envelope, envelope)
+	}
+	if sp.lcm != 0 && num != sp.num {
 		return fmt.Errorf("core: sparse active mass numerator %d, recomputed %d", sp.num, num)
 	}
-	wantDen := t.DegreeSum()
-	if sp.proc == VertexProcess {
+	wantDen := sp.topo.DegreeSum()
+	if sp.lcm != 0 {
 		wantDen = int64(n) * sp.lcm
 	}
 	if sp.den != wantDen {
 		return fmt.Errorf("core: sparse denominator %d, want %d", sp.den, wantDen)
 	}
 	return nil
+}
+
+// geomSkip draws the number of idle scheduler invocations before the
+// next active one: K ~ Geometric(p) on {0, 1, 2, …} with p = num/den
+// and P[K = k] = (1-p)^k·p, truncated at limit (a return of limit means
+// "no active draw within the next limit invocations", which has
+// probability (1-p)^limit — exactly the tail mass, so truncating and
+// re-drawing later is lawful by memorylessness). The draw is float64
+// inversion, whose relative error (≲2⁻⁵²) is far below the resolution
+// of any statistical test; the conditional pair law stays exact
+// integer arithmetic.
+func geomSkip(r *rand.Rand, num, den, limit int64) int64 {
+	if num >= den {
+		return 0
+	}
+	lq := math.Log1p(-float64(num) / float64(den)) // ln(1-p) < 0
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	k := math.Log(u) / lq
+	if k >= float64(limit) {
+		return limit
+	}
+	return int64(k)
+}
+
+// emitFastCadence samples the exact discordance mass into the probe
+// and flushes the current step batch. Called on the observeEvery
+// cadence while the set is authoritative; probe must be non-nil.
+func (e *loopEnv) emitFastCadence(sp *SparseState) {
+	num, den := sp.ActiveMass()
+	e.probe.Discordance(obs.Discordance{
+		Step:    e.s.Steps(),
+		Edges:   sp.DiscordantEdges(),
+		MassNum: num,
+		MassDen: den,
+	})
+	e.flushBatch(obs.RegimeFast)
+	e.advanceEmit()
+}
+
+// loop is EngineFast's replacement for the naive per-step loop in
+// run.go: identical observable behaviour, idle steps skipped in bulk.
+func (sp *SparseState) loop(e *loopEnv, rule PairwiseRule) {
+	s := e.s
+	sp.attachDiscordance()
+	prevVersion := s.SupportVersion()
+	for !e.res.Aborted && !e.done() && s.Steps() < e.maxSteps {
+		// The farthest this iteration may advance: never past MaxSteps,
+		// and never past the next observer boundary (idle steps do not
+		// change the state, but the naive engine still invokes the
+		// observer there, so boundaries must be visited).
+		limit := e.maxSteps - s.Steps()
+		if e.observer != nil {
+			if toBoundary := e.observeEvery - s.Steps()%e.observeEvery; toBoundary < limit {
+				limit = toBoundary
+			}
+		}
+		num, den := sp.ActiveMass()
+		k := limit // no discordant pair anywhere: every draw is idle
+		if num > 0 {
+			k = geomSkip(e.r, num, den, limit)
+		}
+		if k < limit {
+			// Next active draw lands inside the window: account for the
+			// k skipped idle steps plus the active one, then apply it.
+			s.addSteps(k + 1)
+			if e.probe != nil {
+				e.batch.Skipped += k
+				e.batch.Active++
+			}
+			sp.activeStep(e.r, rule)
+			if s.SupportVersion() != prevVersion {
+				e.onSupport()
+				prevVersion = s.SupportVersion()
+			}
+		} else {
+			// All idle up to the cap: jump straight to it. Memorylessness
+			// of the geometric makes the fresh draw next iteration exact.
+			s.addSteps(limit)
+			if e.probe != nil {
+				e.batch.Skipped += limit
+			}
+		}
+		if e.probe != nil && s.Steps() >= e.nextEmit {
+			e.emitFastCadence(sp)
+		}
+		if e.observer != nil && s.Steps()%e.observeEvery == 0 {
+			if !e.observer(s) {
+				e.res.Aborted = true
+			}
+		}
+	}
+	e.flushBatch(obs.RegimeFast)
+	sp.detachDiscordance()
+	sp.flushDraws()
 }
 
 // flushSparseRow emits the row's accumulated sparse-regime step batch
@@ -457,17 +755,15 @@ func (b *blockRun) flushSparseRow(row *blockRow, sp *SparseState) {
 	row.nextEmit = (to/b.observeEvery + 1) * b.observeEvery
 }
 
-// retireSparse finishes row's trial under sparse skip-sampling — the
-// implicit/compact counterpart of retire()'s sequential fast loop, with
-// the same loop structure as FastState.loop: geometric skips bounded by
+// retireSparse finishes row's trial under skip-sampling, with the same
+// loop structure as SparseState.loop: geometric skips bounded by
 // MaxSteps only (probe batches flush at the first step past the emit
 // boundary, never by clamping the skip — a probe must not change the
 // trajectory), exact conditional sampling for active steps, stop checks
-// on support changes only. When allowRebound
-// is set (EngineAuto) and the exact mass rebounds past the hybrid exit
-// threshold, the row returns to blocked stepping and retireSparse
-// reports true; under EngineFast the loop runs to the stop condition or
-// the step cap.
+// on support changes only. When allowRebound is set (EngineAuto) and
+// the exact mass rebounds past the hybrid exit threshold, the row
+// returns to blocked stepping and retireSparse reports true; under
+// EngineFast the loop runs to the stop condition or the step cap.
 func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound bool) (rebound bool) {
 	s := row.s
 	sp.attachDiscordance()
@@ -483,7 +779,7 @@ func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound boo
 		// differently with a probe attached, consuming randomness on the
 		// probe's behalf and breaking the probe-neutrality contract.
 		// Batches are instead emitted at the first opportunity past the
-		// boundary, exactly as FastState.loop does.
+		// boundary.
 		limit := b.maxSteps - s.Steps()
 		num, den := sp.ActiveMass()
 		k := limit // no discordant pair anywhere: every draw is idle
@@ -496,13 +792,12 @@ func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound boo
 				row.batch.Skipped += k
 				row.batch.Active++
 			}
-			v, w := sp.sampleDiscordant(row.r)
-			sp.SetOpinion(v, b.pw.Target(s.Opinion(v), s.Opinion(w)))
+			sp.activeStep(row.r, b.pw)
 			b.checkMajority(row)
 			if s.SupportVersion() != row.prevVer && b.afterSupport(row) {
 				break
 			}
-			if allowRebound && sp.num*b.exitScale > sp.den {
+			if allowRebound && massAbove(sp, b.exitScale) {
 				rebound = true
 				break
 			}
@@ -526,6 +821,7 @@ func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound boo
 		row.batch = obs.StepBatch{FromStep: to}
 	}
 	sp.detachDiscordance()
+	sp.flushDraws()
 	sparseSetPeak.SetMax(sp.MemBytes())
 	span.End()
 	return rebound

@@ -121,11 +121,15 @@ func TestSparseDistributionEquivalence(t *testing.T) {
 	}
 }
 
-// sparseFixture builds a State over topo (int32 representation) with
-// the given opinions and a seeded SparseState on it.
+// sparseFixture builds a State over topo (int32 representation; CSR
+// when topo is a *graph.Graph) with the given opinions and a seeded
+// SparseState on it.
 func sparseFixture(t testing.TB, topo graph.Topology, proc Process, opinions []int) (*State, *SparseState) {
 	t.Helper()
 	s := &State{topo: topo}
+	if g, ok := topo.(*graph.Graph); ok {
+		s = &State{g: g}
+	}
 	if err := s.ResetTo(opinions); err != nil {
 		t.Fatal(err)
 	}
@@ -237,59 +241,91 @@ func TestSparseStateBasic(t *testing.T) {
 }
 
 // TestSparseSampleLaw draws from sampleDiscordant with the state held
-// fixed on an irregular topology (a path: end degrees 1, interior 2)
-// and χ²-tests the empirical ordered-pair frequencies against the exact
-// conditional law of each process.
+// fixed and χ²-tests the empirical ordered-pair frequencies against the
+// exact conditional law of each process, on an irregular implicit
+// topology (a path: end degrees 1, interior 2) and on two irregular CSR
+// graphs: star(513) with three opinions (the hub's draws scan 512
+// leaves; edge-process buckets 2^9 and 2^0) and K₄ minus an edge
+// (degrees 3 and 2 in buckets 2^2 and 2^1). Star arcs are grouped by
+// direction and leaf quarter; the others are tested arc by arc.
 func TestSparseSampleLaw(t *testing.T) {
-	topo, err := graph.NewImplicitPath(5)
+	path, err := graph.NewImplicitPath(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Opinions 0,1,0,0,1: discordant arcs (0,1),(1,0),(1,2),(2,1),(3,4),(4,3).
-	op := []int{0, 1, 0, 0, 1}
+	star := make([]int, 513)
+	for v := 1; v < len(star); v++ {
+		star[v] = v % 3
+	}
+	star[0] = 1
+	k4e := graph.MustFromEdges(4, []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 0, V: 2},
+	})
 	const draws = 60000
-	for _, proc := range []Process{VertexProcess, EdgeProcess} {
-		_, sp := sparseFixture(t, topo, proc, op)
-		// Exact law over ordered discordant arcs (v, w).
-		want := map[[2]int]float64{}
-		var norm float64
-		for v := 0; v < topo.N(); v++ {
-			xv := op[v]
-			for i := 0; i < topo.Degree(v); i++ {
-				w := topo.Neighbor(v, i)
-				if op[w] == xv {
-					continue
+	for _, tc := range []struct {
+		name string
+		topo graph.Topology
+		op   []int
+		cat  func(v, w int) int // nil: one category per ordered arc
+	}{
+		// Opinions 0,1,0,0,1: discordant arcs (0,1),(1,0),(1,2),(2,1),(3,4),(4,3).
+		{"implicit path(5)", path, []int{0, 1, 0, 0, 1}, nil},
+		{"csr star(513)", graph.Star(513), star, func(v, w int) int {
+			leaf := max(v, w)
+			return 4*b2i(v == 0) + (leaf-1)/128
+		}},
+		{"csr K4-e", k4e, []int{1, 2, 1, 2}, nil},
+	} {
+		for _, proc := range []Process{VertexProcess, EdgeProcess} {
+			_, sp := sparseFixture(t, tc.topo, proc, tc.op)
+			// Exact law over ordered discordant arcs (v, w), folded into
+			// categories.
+			index := map[[2]int]int{}
+			var want []float64
+			var norm float64
+			for v := 0; v < tc.topo.N(); v++ {
+				for i := 0; i < tc.topo.Degree(v); i++ {
+					w := tc.topo.Neighbor(v, i)
+					if tc.op[w] == tc.op[v] {
+						continue
+					}
+					p := 1.0
+					if proc == VertexProcess {
+						p = 1 / float64(tc.topo.Degree(v))
+					}
+					c := len(index)
+					if tc.cat != nil {
+						c = tc.cat(v, w)
+					}
+					index[[2]int{v, w}] = c
+					for len(want) <= c {
+						want = append(want, 0)
+					}
+					want[c] += p
+					norm += p
 				}
-				p := 1.0
-				if proc == VertexProcess {
-					p = 1 / float64(topo.Degree(v))
+			}
+			r := rand.New(rand.NewPCG(7, uint64(proc)))
+			got := make([]int64, len(want))
+			for i := 0; i < draws; i++ {
+				v, w := sp.sampleDiscordant(r)
+				c, ok := index[[2]int{v, w}]
+				if !ok {
+					t.Fatalf("%s/%v: sampled non-discordant pair (%d,%d)", tc.name, proc, v, w)
 				}
-				want[[2]int{v, w}] += p
-				norm += p
+				got[c]++
 			}
-		}
-		r := rand.New(rand.NewPCG(7, uint64(proc)))
-		got := map[[2]int]int{}
-		for i := 0; i < draws; i++ {
-			v, w := sp.sampleDiscordant(r)
-			if op[v] == op[w] {
-				t.Fatalf("%v: sampled concordant pair (%d,%d)", proc, v, w)
+			exp := make([]float64, len(want))
+			for c, p := range want {
+				exp[c] = p / norm * draws
 			}
-			got[[2]int{v, w}]++
-		}
-		var stat float64
-		for pair, p := range want {
-			exp := p / norm * draws
-			d := float64(got[pair]) - exp
-			stat += d * d / exp
-		}
-		df := len(want) - 1
-		crit := map[int]float64{5: 20.515}[df]
-		if crit == 0 {
-			t.Fatalf("unexpected df %d", df)
-		}
-		if stat > crit {
-			t.Errorf("%v: sample law χ²(%d) = %.2f > %.2f (α=0.001)", proc, df, stat, crit)
+			stat, df, err := stats.ChiSquare(got, exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crit := chi2Crit001[df]; crit == 0 || stat > crit {
+				t.Errorf("%s/%v: sample law χ²(%d) = %.2f > %.2f (α=0.001)", tc.name, proc, df, stat, crit)
+			}
 		}
 	}
 }

@@ -53,7 +53,7 @@ type State struct {
 	supVer   uint64 // bumped whenever any cell transitions 0↔1 vertex
 
 	// discordFn, when non-nil, returns the exact number of discordant
-	// edges in O(1) from an engine-maintained index (fast.go). Nil means
+	// edges in O(1) from an engine-maintained index (sparse.go). Nil means
 	// DiscordantEdges falls back to an O(m) recount. Engines attach and
 	// detach it as their index becomes authoritative or goes stale.
 	discordFn func() int64
@@ -427,7 +427,7 @@ func (s *State) countStep() { s.steps++ }
 
 // addSteps advances the step counter by k ≥ 1 scheduler invocations at
 // once; the fast engine uses it to account for skipped idle steps
-// (fast.go) without simulating them.
+// (sparse.go) without simulating them.
 func (s *State) addSteps(k int64) { s.steps += k }
 
 // CheckInvariants recomputes every aggregate from scratch and returns

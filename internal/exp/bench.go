@@ -142,8 +142,9 @@ type benchFamily struct {
 
 // benchFamilies builds the benchmark graphs: a complete graph (dense,
 // implicit adjacency), a random regular graph (the expander workload),
-// and a star (the degree-bucketed sampler's worst case for the old
-// rejection loop).
+// and a star — the discordance engine's hardest degree sequence: hub
+// updates touch every leaf, and under the edge process the hub and the
+// leaves sit in degree buckets 2^14 and 2^0 of the rejection sampler.
 func benchFamilies(p Params) ([]benchFamily, error) {
 	r := rng.New(rng.DeriveSeed(p.Seed, 0xbe7c))
 	nK := p.pick(256, 2000)

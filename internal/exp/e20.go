@@ -13,9 +13,9 @@ import (
 )
 
 // E20FastEngine benchmarks the discordance-tracked fast engine
-// (core/fast.go) and the adaptive hybrid behind EngineAuto against the
+// (core/sparse.go) and the adaptive hybrid behind EngineAuto against the
 // naive per-invocation engine, on the workloads the fast path is built
-// for: UntilConsensus on a sparse random regular graph. Two profiles:
+// for: UntilConsensus on a sparse random regular graph. Three profiles:
 //
 //   - uniform k=5: the standard full run. Its draw count is dominated
 //     by long concentrated stretches where almost every scheduler draw
@@ -59,8 +59,10 @@ func E20FastEngine(p Params) (*Report, error) {
 	rep := &Report{ID: "E20", Name: "fast engine speedup (discordance tracking)"}
 
 	// The graph is the same in quick and full mode: shrinking n would let
-	// the O(n+m) FastState build dominate the short dissenter trials and
-	// measure setup, not stepping. Quick mode economizes on trials instead.
+	// the per-trial SparseState build (an O(n) position index and an
+	// O(n·d) seed pass; trials run without a Scratch) dominate the short
+	// dissenter trials and measure setup, not stepping. Quick mode
+	// economizes on trials instead.
 	const n = 10000
 	const d = 8
 	floor := float64(p.pick(3, 5))

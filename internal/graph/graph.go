@@ -194,14 +194,13 @@ func (g *Graph) IsComplete() bool {
 // MemBytes estimates the resident size of the graph together with its
 // fully-built ArcIndex: CSR offsets (8 bytes/vertex) and adjacency
 // (4 bytes/arc), plus the index's tails and rev arrays (4 bytes/arc
-// each) and its lazy weight block (units + ones at 8 bytes/vertex,
-// degree buckets at 1). The artifact cache uses this as the charge for
-// byte-bounded eviction, so it deliberately prices the index even
-// before it is built — the cache's whole point is that it will be.
+// each). The artifact cache uses this as the charge for byte-bounded
+// eviction, so it deliberately prices the index even before it is
+// built — the cache's whole point is that it will be.
 func (g *Graph) MemBytes() int64 {
 	n := int64(g.N())
 	arcs := int64(len(g.adj))
-	return 12*arcs + 25*n + 64
+	return 12*arcs + 8*n + 64
 }
 
 // Stationary returns the stationary distribution π_v = d(v)/2m of the

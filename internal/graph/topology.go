@@ -84,13 +84,12 @@ func MustMaterialize(t Topology) *Graph {
 // CSRMemEstimate predicts the resident bytes a topology would cost if
 // materialized: the CSR adjacency (offsets at 8 bytes/vertex, heads at
 // 4 bytes/arc) and the shared ArcIndex (tails and rev at 4 bytes/arc
-// each, the lazy weight block at 17 bytes/vertex) — the same pricing
-// Graph.MemBytes charges the artifact cache. An implicit backend costs
-// none of it; cmd/graphinfo prints predicted vs actual so the saving is
-// visible before a run.
+// each) — the same pricing Graph.MemBytes charges the artifact cache.
+// An implicit backend costs none of it; cmd/graphinfo prints predicted
+// vs actual so the saving is visible before a run.
 func CSRMemEstimate(n int, degreeSum int64) (adjBytes, arcIndexBytes int64) {
 	adjBytes = 8*int64(n+1) + 4*degreeSum
-	arcIndexBytes = 8*degreeSum + 17*int64(n)
+	arcIndexBytes = 8 * degreeSum
 	return adjBytes, arcIndexBytes
 }
 
