@@ -168,9 +168,10 @@ func RunBlock(cfg BlockConfig, t0, t1 int, out []Result) error {
 	if bn == 0 {
 		return nil
 	}
-	b.arena.grow(bn, b.compact)
-	rows := make([]*blockRow, bn)
-	copy(rows, b.arena.rows[:bn])
+	a := b.arena
+	a.grow(bn, b.compact)
+	a.inflight = append(a.inflight[:0], a.rows[:bn]...)
+	rows := a.inflight
 	next := t0
 	for i := range rows {
 		if err := b.initRow(rows[i], next); err != nil {
@@ -298,6 +299,11 @@ type blockArena struct {
 	rows    []*blockRow
 	initBuf []int
 	lanes   []*blockRow // scratch live-lane list for laneChunk
+	// inflight backs RunBlock's list of rows still stepping, and run is
+	// the resolved configuration of the current RunBlock call: both live
+	// here so a call on a warm Scratch allocates nothing.
+	inflight []*blockRow
+	run      blockRun
 	// sparse is the shared SparseState per process (O(n) position index
 	// + O(discordance) member set), rebound and reseeded per hand-off
 	// and per sequential fast/hybrid entry on a Scratch.
@@ -351,10 +357,10 @@ func (a *blockArena) grow(bn int, compact bool) {
 }
 
 // sparseFor returns the arena's shared SparseState for proc, rebound
-// to s and reseeded against its current opinions (the O(n·d)
-// enumeration pass of a hand-off). One per process, lent to whichever
-// trial is stepping under the discordance engine; that trial finishes
-// or bounces back before any other can need it.
+// to s and reseeded against its current opinions (the O(n + n_off·d̄)
+// seeding of a hand-off; see SparseState.Seed). One per process, lent
+// to whichever trial is stepping under the discordance engine; that
+// trial finishes or bounces back before any other can need it.
 func (a *blockArena) sparseFor(s *State, proc Process) (*SparseState, error) {
 	if proc != VertexProcess && proc != EdgeProcess {
 		return NewSparseState(s, proc) // the unknown-process error
@@ -508,7 +514,8 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 		block = DefaultBlock
 	}
 	costUnits := hybridCostRatio * hybridCostUnits(topo)
-	b := &blockRun{
+	b := &arena.run
+	*b = blockRun{
 		g: g, topo: topo, compact: cfg.Compact,
 		proc: cfg.Process, rule: rule, pw: pw, isDIV: isDIV,
 		engine: cfg.Engine, stop: cfg.Stop,
@@ -1450,13 +1457,13 @@ func (b *blockRun) chunkGeneric(row *blockRow) {
 }
 
 // handoffSparse moves row from the blocked loop to the discordance
-// engine: seed the arena's shared set with one O(n·d) enumeration pass
-// and continue the trial under skip-sampling. Under EngineAuto the
-// exact mass vetoes noisy triggers first (as hybridLoop does): if
-// discordance is still above the exit threshold the row bounces back
-// to blocked stepping with an exponentially growing cooldown, and a
-// mid-flight rebound returns the row to blocked stepping the same way —
-// the blocked loop IS the naive regime here. A SparseState
+// engine: seed the arena's shared set in O(n + n_off·d̄) (see
+// SparseState.Seed) and continue the trial under skip-sampling. Under
+// EngineAuto the exact mass vetoes noisy triggers first (as hybridLoop
+// does): if discordance is still above the exit threshold the row
+// bounces back to blocked stepping with an exponentially growing
+// cooldown, and a mid-flight rebound returns the row to blocked
+// stepping the same way — the blocked loop IS the naive regime here. A SparseState
 // construction failure (degree-lcm overflow) is fatal under EngineFast
 // and disables hand-off for the whole batch under EngineAuto — it is a
 // property of (graph, process), not of the trial.

@@ -4,11 +4,11 @@ package core
 
 // sparseCheckInvariants re-derives the discordance engine's
 // discordant-vertex set from scratch after every opinion update and
-// panics on the first divergence (membership, counts, buckets, position
-// index, mass aggregates), then re-checks the State's own aggregates.
-// O(n·d) per update — run `go test -tags divtestinvariants
-// ./internal/core` (the Makefile `invariants` target) to exercise it;
-// never enable it for benchmarks.
+// every seeding, and panics on the first divergence (membership,
+// counts, buckets, position index, mass aggregates), then re-checks the
+// State's own aggregates. O(n·d) per call — run `go test -tags
+// divtestinvariants ./internal/core` (the Makefile `invariants` target)
+// to exercise it; never enable it for benchmarks.
 func sparseCheckInvariants(sp *SparseState) {
 	if err := sp.CheckSparse(); err != nil {
 		panic(err)

@@ -349,3 +349,73 @@ func BenchmarkStarVertexFastStep(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 	}
 }
+
+// TestBlockWarmScratchZeroAllocs pins the allocation-free warm
+// RunBlock: once a Scratch has run one trial, a one-trial RunBlock
+// allocates nothing — its blockRun and in-flight row list live in the
+// arena. Covered on CSR int32 and HashedRegular compact, under
+// EngineNaive (capped, never handing off) and under EngineAuto with a
+// dissenter profile that hands off to the discordance engine.
+func TestBlockWarmScratchZeroAllocs(t *testing.T) {
+	if invariantChecksEnabled {
+		t.Skip("divtestinvariants re-derives the index (and allocates) on every update")
+	}
+	const n, d = 2000, 8
+	rr, err := graph.RandomRegularSeeded(n, d, 0x2a11, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := graph.NewHashedRegular(n, d, 0x2a12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dissent := func(_ int, dst []int, _ *rand.Rand) error {
+		for i := range dst {
+			dst[i] = 1
+		}
+		for i := 0; i < len(dst); i += len(dst) / 8 {
+			dst[i] = 2
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name    string
+		topo    graph.Topology
+		compact bool
+	}{{"csr-int32", rr, false}, {"hashed-compact", hashed, true}} {
+		for _, engine := range []Engine{EngineNaive, EngineAuto} {
+			cfg := BlockConfig{
+				Topology: tc.topo,
+				Compact:  tc.compact,
+				Engine:   engine,
+				Seed:     0x2a13,
+				Init:     dissent,
+				Scratch:  NewScratchTopo(tc.topo),
+			}
+			if engine == EngineNaive {
+				cfg.MaxSteps = 20000
+			}
+			out := make([]Result, 1)
+			trial := 0
+			var runErr error
+			run := func() {
+				if err := RunBlock(cfg, trial, trial+1, out); err != nil && runErr == nil {
+					runErr = err
+				}
+				trial++
+			}
+			run() // warm the scratch
+			handoffs := sparseHandoffsTotal.Value()
+			allocs := testing.AllocsPerRun(5, run)
+			if runErr != nil {
+				t.Fatalf("%s/%v: %v", tc.name, engine, runErr)
+			}
+			if engine == EngineAuto && sparseHandoffsTotal.Value() == handoffs {
+				t.Fatalf("%s/%v: no trial handed off to the discordance engine", tc.name, engine)
+			}
+			if allocs != 0 {
+				t.Errorf("%s/%v: %.1f allocs per warm one-trial RunBlock, want 0", tc.name, engine, allocs)
+			}
+		}
+	}
+}

@@ -144,7 +144,7 @@ type SparseState struct {
 // NewSparseState builds the discordant-vertex set for s under proc. A
 // regular topology needs no degree pass; otherwise one O(n) pass files
 // every vertex's bucket (edge process) or finds the degree lcm (vertex
-// process), then Seed enumerates every neighbour list once. It errors
+// process), then Seed fills the set in O(n + n_off·d̄). It errors
 // when the vertex process's degree-lcm scaling would overflow (wildly
 // irregular degree sequences); callers fall back to naive stepping.
 func NewSparseState(s *State, proc Process) (*SparseState, error) {
@@ -250,7 +250,8 @@ func (sp *SparseState) bucket(v int) int {
 	return int(sp.vb[v])
 }
 
-// countDiscordant returns v's number of discordant incident arcs.
+// countDiscordant returns v's number of discordant incident arcs: the
+// from-scratch count CheckSparse holds the set to.
 func (sp *SparseState) countDiscordant(v int) int32 {
 	c := int32(0)
 	if sp.off != nil {
@@ -272,21 +273,93 @@ func (sp *SparseState) countDiscordant(v int) int32 {
 	return c
 }
 
-// Seed rebuilds the set against the wrapped State's current opinions:
-// the one O(n·d) enumeration pass of a hand-off, reusing every array.
+// Seed rebuilds the set against the wrapped State's current opinions,
+// reusing every array, in O(n + n_off·d̄): n_off is the number of
+// vertices off the opinion xm that dominant picks, and d̄ their mean
+// degree. Every discordant arc has an endpoint off xm, so one walk over
+// those vertices finds them all: each counts its own discordant arcs
+// and adds one to the count of each neighbour holding xm, accumulated
+// in pos as −1−count. One ascending pass over pos then files the
+// members in vertex order (insert overwrites their −1−count; every
+// other entry is already −1), exactly the lists a walk over every
+// vertex builds. With no dominant opinion xm is held by no vertex, so
+// the same walk visits every vertex and is the full enumeration.
 func (sp *SparseState) Seed() {
 	for b := range sp.lists {
 		sp.lists[b] = sp.lists[b][:0]
 	}
 	sp.num, sp.sumDiff, sp.envelope = 0, 0, 0
-	for v := range sp.pos {
-		sp.pos[v] = -1
-		if c := sp.countDiscordant(v); c > 0 {
+	pos := sp.pos
+	xm := sp.dominant()
+	for v := range pos {
+		pos[v] = -1
+	}
+	for v := range pos {
+		if sp.x(v) != xm {
+			pos[v] = -1 - sp.seedCount(v, xm)
+		}
+	}
+	for v, p := range pos {
+		if c := -1 - p; c > 0 {
 			sp.addMass(v, c)
 			sp.insert(v, c)
 		}
 	}
 	sparseSetPeak.SetMax(sp.MemBytes())
+	sparseCheckInvariants(sp)
+}
+
+// seedCount returns v's discordant-arc count, as countDiscordant does,
+// and adds one to the count Seed accumulates in pos for each neighbour
+// holding xm.
+func (sp *SparseState) seedCount(v int, xm int32) int32 {
+	c := int32(0)
+	pos := sp.pos
+	if sp.off != nil {
+		op := sp.s.opinions
+		xv := op[v]
+		for _, w := range sp.adj[sp.off[v]:sp.off[v+1]] {
+			xw := op[w]
+			if xw != xv {
+				c++
+			}
+			if xw == xm {
+				pos[w]--
+			}
+		}
+		return c
+	}
+	xv := sp.x(v)
+	for i, d := 0, sp.topo.Degree(v); i < d; i++ {
+		w := sp.topo.Neighbor(v, i)
+		xw := sp.x(w)
+		if xw != xv {
+			c++
+		}
+		if xw == xm {
+			pos[w]--
+		}
+	}
+	return c
+}
+
+// dominant returns the opinion Seed's walk skips, in the live
+// representation: the plurality when it holds at least 3/4 of the
+// vertices, otherwise the value just below the opinion window (−1
+// compact, base−1 int32), which no vertex holds. On CSR rr(10⁶, 8) the
+// skipping walk lost to the full walk at a share of 0.7 and won at 3/4:
+// below the crossover its scattered pos updates cost more than the
+// walks they save (DESIGN.md §6).
+func (sp *SparseState) dominant() int32 {
+	s := sp.s
+	i, c := s.plurality()
+	if 4*c < 3*int64(s.N()) {
+		i = -1
+	}
+	if s.opb != nil {
+		return int32(i)
+	}
+	return s.base + int32(i)
 }
 
 // rebind repoints the set at another State over the same topology. The

@@ -126,13 +126,7 @@ func TestSparseDistributionEquivalence(t *testing.T) {
 // SparseState on it.
 func sparseFixture(t testing.TB, topo graph.Topology, proc Process, opinions []int) (*State, *SparseState) {
 	t.Helper()
-	s := &State{topo: topo}
-	if g, ok := topo.(*graph.Graph); ok {
-		s = &State{g: g}
-	}
-	if err := s.ResetTo(opinions); err != nil {
-		t.Fatal(err)
-	}
+	s := newTopoState(t, topo, false, opinions)
 	sp, err := NewSparseState(s, proc)
 	if err != nil {
 		t.Fatal(err)
@@ -427,13 +421,22 @@ func TestSparseMajorityStep(t *testing.T) {
 // from a fuzz-chosen topology, initial profile, and update sequence,
 // membership must equal actual discordance and every aggregate must
 // match a from-scratch re-derivation after each step, with draws from
-// the set always discordant.
+// the set always discordant. The profile is a fuzz-chosen background
+// opinion with a fuzz-chosen share of uniform minority draws, so both
+// sides of Seed's dominant-opinion rule are reached, and a Seed at a
+// fuzz-chosen point in the sequence must rebuild exactly the set the
+// updates maintained.
 func FuzzSparseSet(f *testing.F) {
-	f.Add(uint8(0), uint8(16), uint8(2), uint64(1), uint16(40))
-	f.Add(uint8(1), uint8(9), uint8(3), uint64(2), uint16(60))
-	f.Add(uint8(2), uint8(20), uint8(4), uint64(3), uint16(25))
-	f.Add(uint8(3), uint8(32), uint8(2), uint64(4), uint16(80))
-	f.Fuzz(func(t *testing.T, fam, size, kRaw uint8, seed uint64, opsRaw uint16) {
+	f.Add(uint8(0), uint8(16), uint8(2), uint64(1), uint16(40), uint8(0), uint8(255), uint8(0))
+	f.Add(uint8(1), uint8(9), uint8(3), uint64(2), uint16(60), uint8(1), uint8(255), uint8(30))
+	f.Add(uint8(2), uint8(20), uint8(4), uint64(3), uint16(25), uint8(2), uint8(255), uint8(10))
+	f.Add(uint8(3), uint8(32), uint8(2), uint64(4), uint16(80), uint8(1), uint8(255), uint8(80))
+	// Dominant-background starts, which Seed walks from the minority.
+	f.Add(uint8(1), uint8(30), uint8(4), uint64(5), uint16(120), uint8(3), uint8(48), uint8(200))
+	f.Add(uint8(2), uint8(20), uint8(4), uint64(6), uint16(25), uint8(2), uint8(48), uint8(10))
+	f.Add(uint8(3), uint8(27), uint8(2), uint64(7), uint16(80), uint8(1), uint8(40), uint8(40))
+	f.Add(uint8(0), uint8(29), uint8(3), uint64(8), uint16(60), uint8(0), uint8(48), uint8(30))
+	f.Fuzz(func(t *testing.T, fam, size, kRaw uint8, seed uint64, opsRaw uint16, bgRaw, share, seedAtRaw uint8) {
 		var topo graph.Topology
 		var err error
 		switch fam % 4 {
@@ -451,19 +454,33 @@ func FuzzSparseSet(f *testing.F) {
 		}
 		n := topo.N()
 		k := 2 + int(kRaw)%5
+		bg := int(bgRaw) % k
 		r := rand.New(rand.NewPCG(seed, 0x5fa12))
 		op := make([]int, n)
 		for i := range op {
-			op[i] = r.IntN(k)
+			// A uniform draw with probability share/256, else bg.
+			op[i] = bg
+			if r.IntN(256) < int(share) {
+				op[i] = r.IntN(k)
+			}
 		}
 		proc := VertexProcess
 		if seed&1 == 1 {
 			proc = EdgeProcess
 		}
 		s, sp := sparseFixture(t, topo, proc, op)
+		checkSeeded(t, sp, "at construction")
 		sp.attachDiscordance()
 		ops := int(opsRaw) % 200
-		for i := 0; i < ops; i++ {
+		seedAt := int(seedAtRaw) % (ops + 1)
+		for i := 0; i <= ops; i++ {
+			if i == seedAt {
+				sp.Seed()
+				checkSeeded(t, sp, fmt.Sprintf("reseeded before op %d", i))
+			}
+			if i == ops {
+				break
+			}
 			if sp.Members() > 0 && r.IntN(3) == 0 {
 				// A process step: sample an active pair, apply DIV.
 				v, w := sp.sampleDiscordant(r)

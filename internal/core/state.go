@@ -241,13 +241,20 @@ func (s *State) SupportSize() int { return s.support }
 // the plurality size, O(window) over the live count cells. Used by the
 // blocked kernel's MajorityFrac milestone.
 func (s *State) LargestCount() int64 {
-	var best int64
-	for _, c := range s.counts[s.minIdx : s.maxIdx+1] {
-		if c > best {
-			best = c
+	_, c := s.plurality()
+	return c
+}
+
+// plurality returns the count index of the most common opinion (the
+// smallest on a tie) and its multiplicity.
+func (s *State) plurality() (idx int, count int64) {
+	idx = s.minIdx
+	for i := s.minIdx + 1; i <= s.maxIdx; i++ {
+		if s.counts[i] > s.counts[idx] {
+			idx = i
 		}
 	}
-	return best
+	return idx, s.counts[idx]
 }
 
 // SupportVersion increases whenever the *set* of held opinions changes

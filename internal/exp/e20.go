@@ -60,9 +60,9 @@ func E20FastEngine(p Params) (*Report, error) {
 
 	// The graph is the same in quick and full mode: shrinking n would let
 	// the per-trial SparseState build (an O(n) position index and an
-	// O(n·d) seed pass; trials run without a Scratch) dominate the short
-	// dissenter trials and measure setup, not stepping. Quick mode
-	// economizes on trials instead.
+	// O(n + n_off·d̄) seed pass; trials run without a Scratch) dominate
+	// the short dissenter trials and measure setup, not stepping. Quick
+	// mode economizes on trials instead.
 	const n = 10000
 	const d = 8
 	floor := float64(p.pick(3, 5))
