@@ -33,8 +33,7 @@ trace-artifact: ## regenerate results/observability.txt (traced dissenter run)
 bench: ## every experiment as a testing.B benchmark, one iteration each
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-bench-engine: ## regenerate the fast-engine speedup table (results/fast_engine.txt) and the perf matrix incl. the E2 block-size sweep B∈{1,4,8,16} (BENCH_engine.json)
-	$(GO) run ./cmd/divbench -exp E20 -full
+bench-engine: ## regenerate the perf matrix incl. the E2 block-size sweep B∈{1,4,8,16} (BENCH_engine.json)
 	$(GO) run ./cmd/divbench -bench-json BENCH_engine.json -full
 
 bench-bign: ## regenerate the 'bign' section of BENCH_engine.json: million-vertex E2-style runs on an implicit circulant with compact byte slabs vs the materialized-CSR int32 baseline (n=10⁶ pair + n=10⁷ implicit arm), with ns/step, build time, and per-phase peak RSS

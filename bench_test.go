@@ -12,7 +12,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Experiment benchmarks: one per entry in the E1–E20 index (DESIGN.md §3).
+// Experiment benchmarks: one per entry in the E1–E19 index (DESIGN.md §3).
 // Each iteration regenerates the experiment's tables at quick sizes and
 // reports the number of paper-claim checks that passed as a metric.
 // Run a single one with e.g. `go test -bench=E1 -benchtime=1x`.
@@ -58,7 +58,6 @@ func BenchmarkE16Synchronous(b *testing.B)        { benchmarkExperiment(b, "E16"
 func BenchmarkE17PushPull(b *testing.B)           { benchmarkExperiment(b, "E17") }
 func BenchmarkE18Zealots(b *testing.B)            { benchmarkExperiment(b, "E18") }
 func BenchmarkE19CoalescingDuality(b *testing.B)  { benchmarkExperiment(b, "E19") }
-func BenchmarkE20FastEngine(b *testing.B)         { benchmarkExperiment(b, "E20") }
 
 // ---------------------------------------------------------------------------
 // Engine micro-benchmarks: the per-step costs that dominate everything
@@ -86,7 +85,7 @@ func BenchmarkDIVStepVertexComplete(b *testing.B) {
 }
 
 func BenchmarkDIVStepVertexRegular(b *testing.B) {
-	g, err := graph.RandomRegular(10000, 16, rng.New(1))
+	g, err := graph.RandomRegularSeeded(10000, 16, 1, graph.BuildOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func BenchmarkDIVStepVertexRegular(b *testing.B) {
 }
 
 func BenchmarkDIVStepEdgeRegular(b *testing.B) {
-	g, err := graph.RandomRegular(10000, 16, rng.New(1))
+	g, err := graph.RandomRegularSeeded(10000, 16, 1, graph.BuildOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,18 +132,16 @@ func BenchmarkLambdaSparse(b *testing.B) {
 }
 
 func BenchmarkRandomRegularGen(b *testing.B) {
-	r := rng.New(4)
 	for i := 0; i < b.N; i++ {
-		if _, err := graph.RandomRegular(5000, 8, r); err != nil {
+		if _, err := graph.RandomRegularSeeded(5000, 8, uint64(i), graph.BuildOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkGnpGen(b *testing.B) {
-	r := rng.New(5)
 	for i := 0; i < b.N; i++ {
-		if _, err := graph.Gnp(5000, 0.01, r); err != nil {
+		if _, err := graph.GnpSeeded(5000, 0.01, uint64(i), graph.BuildOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +174,7 @@ func TestBenchCoverageOfExperimentIndex(t *testing.T) {
 		"E1": true, "E2": true, "E3": true, "E4": true, "E5": true,
 		"E6": true, "E7": true, "E8": true, "E9": true, "E10": true,
 		"E11": true, "E12": true, "E13": true, "E14": true, "E15": true,
-		"E16": true, "E17": true, "E18": true, "E19": true, "E20": true,
+		"E16": true, "E17": true, "E18": true, "E19": true,
 	}
 	for _, d := range exp.All {
 		if !covered[d.ID] {

@@ -1,5 +1,5 @@
 // Command divbench regenerates the repository's experiment suite
-// E1–E20 (DESIGN.md §3): every theorem, lemma, closed-form probability
+// E1–E19 (DESIGN.md §3): every theorem, lemma, closed-form probability
 // and worked example in the paper gets a table (and, where meaningful,
 // an ASCII figure), together with pass/fail checks comparing the
 // measurement to the paper's claim.
@@ -64,7 +64,7 @@ import (
 func main() {
 	var (
 		full       = flag.Bool("full", false, "publication sizes (slower)")
-		expList    = flag.String("exp", "all", "comma-separated experiment IDs (E1..E20) or 'all'")
+		expList    = flag.String("exp", "all", "comma-separated experiment IDs (E1..E19) or 'all'")
 		seed       = flag.Uint64("seed", 0, "master seed (0 = package default)")
 		csvDir     = flag.String("csv", "", "directory to write per-table CSV files into")
 		par        = flag.Int("parallelism", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -179,10 +179,9 @@ func main() {
 	// failures must reach the exit status, not just stderr.
 	var failed []string
 
-	// Scheduled mode runs every non-timing experiment concurrently —
-	// their sweeps interleave trials on the shared work-stealing pool —
-	// while output streams strictly in definition order. Timing
-	// experiments (wall-clock tables) and -serial mode run one at a
+	// Scheduled mode runs every experiment concurrently — their sweeps
+	// interleave trials on the shared work-stealing pool — while output
+	// streams strictly in definition order. -serial mode runs one at a
 	// time at print time.
 	type outcome struct {
 		rep     *exp.Report
@@ -207,9 +206,6 @@ func main() {
 	suiteStart := time.Now()
 	if !*serial {
 		for i, d := range defs {
-			if d.Timing {
-				continue
-			}
 			results[i] = make(chan outcome, 1)
 			go func(ch chan<- outcome, d exp.Def) { ch <- runDef(d) }(results[i], d)
 		}

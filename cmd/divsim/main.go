@@ -34,7 +34,7 @@ func main() {
 	var (
 		graphSpec  = flag.String("graph", "complete:100", "graph spec (complete:N, regular:N,D, gnp:N,P, ws:N,D,B, ba:N,M, path:N, cycle:N, star:N, torus:R,C, hypercube:D, …)")
 		k          = flag.Int("k", 5, "opinions are drawn uniformly from {1..k}")
-		dissenters = flag.Int("dissenters", 0, "two-opinion split initial profile: N vertices at 2, the rest at 1 (overrides -k; the E20 final-stage workload)")
+		dissenters = flag.Int("dissenters", 0, "two-opinion split initial profile: N vertices at 2, the rest at 1 (overrides -k; the final-stage dissenter workload)")
 		procName   = flag.String("process", "vertex", "scheduler: vertex or edge")
 		ruleName   = flag.String("rule", "div", "update rule: div, pull, median, bestofK, loadbalance")
 		seed       = flag.Uint64("seed", 1, "random seed")

@@ -15,7 +15,10 @@
 //
 // # Quick start
 //
-//	g := div.RandomRegular(1000, 16, div.NewRand(1))
+//	g, err := div.RandomRegular(1000, 16, 1) // graph seed 1
+//	if err != nil {
+//		// handle the error
+//	}
 //	init := div.UniformOpinions(g.N(), 5, div.NewRand(2))
 //	res, err := div.Run(div.Config{Graph: g, Initial: init, Seed: 3})
 //	// res.Winner is ⌊c⌋ or ⌈c⌉ w.h.p., where c = res.InitialWeightedAverage.
@@ -78,23 +81,37 @@ var (
 	Hypercube = graph.Hypercube
 )
 
-// Random graph families (pass a *rand.Rand from NewRand for
-// reproducibility).
-var (
-	// RandomRegular samples a random d-regular simple graph
-	// (λ = O(1/√d) w.h.p.).
-	RandomRegular = graph.RandomRegular
-	// Gnp samples an Erdős–Rényi graph (λ ≲ 2/√(np) w.h.p. above the
-	// connectivity threshold).
-	Gnp = graph.Gnp
-	// ConnectedGnp resamples Gnp until connected.
-	ConnectedGnp = graph.ConnectedGnp
-	// WattsStrogatz samples a rewired ring lattice (small world).
-	WattsStrogatz = graph.WattsStrogatz
-	// BarabasiAlbert samples a preferential-attachment graph
-	// (heavy-tailed degrees).
-	BarabasiAlbert = graph.BarabasiAlbert
-)
+// Random graph families. Each is a pure function of its parameters and
+// seed: the same seed builds the same graph on every machine and at
+// every build parallelism.
+
+// RandomRegular samples a random d-regular simple graph
+// (λ = O(1/√d) w.h.p.). Requires 0 ≤ d < n and n·d even.
+func RandomRegular(n, d int, seed uint64) (*Graph, error) {
+	return graph.RandomRegularSeeded(n, d, seed, graph.BuildOpts{})
+}
+
+// Gnp samples an Erdős–Rényi graph (λ ≲ 2/√(np) w.h.p. above the
+// connectivity threshold).
+func Gnp(n int, p float64, seed uint64) (*Graph, error) {
+	return graph.GnpSeeded(n, p, seed, graph.BuildOpts{})
+}
+
+// ConnectedGnp resamples Gnp until connected, up to maxTries attempts.
+func ConnectedGnp(n int, p float64, seed uint64, maxTries int) (*Graph, error) {
+	return graph.ConnectedGnpSeeded(n, p, seed, maxTries, graph.BuildOpts{})
+}
+
+// WattsStrogatz samples a rewired ring lattice (small world).
+func WattsStrogatz(n, d int, beta float64, seed uint64) (*Graph, error) {
+	return graph.WattsStrogatzSeeded(n, d, beta, seed, graph.BuildOpts{})
+}
+
+// BarabasiAlbert samples a preferential-attachment graph
+// (heavy-tailed degrees).
+func BarabasiAlbert(n, m int, seed uint64) (*Graph, error) {
+	return graph.BarabasiAlbertSeeded(n, m, seed, graph.BuildOpts{})
+}
 
 // IsConnected reports whether g is connected; the voting processes are
 // defined on connected graphs.
@@ -267,8 +284,9 @@ func MixingTimeBound(lambda, piMin, eps float64) float64 {
 	return spectral.MixingTimeBound(lambda, piMin, eps)
 }
 
-// NewRand returns a deterministic PCG generator for the given seed;
-// all randomized constructors in this package accept one.
+// NewRand returns a deterministic PCG generator for the given seed; the
+// randomized opinion-profile constructors accept one. Random graph
+// builders take a seed instead.
 func NewRand(seed uint64) *rand.Rand { return rng.New(seed) }
 
 // Distributed deployment: DIV as a message-passing pull protocol over a

@@ -9,7 +9,7 @@ import (
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
-	g, err := div.RandomRegular(200, 8, div.NewRand(1))
+	g, err := div.RandomRegular(200, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func main() {
 	// A random 16-regular graph on 1000 vertices: λ ≈ 2/√16 = 0.25,
 	// comfortably inside the paper's λk = o(1) regime for k = 5.
-	g, err := div.RandomRegular(1000, 16, div.NewRand(1))
+	g, err := div.RandomRegular(1000, 16, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func main() {
 		degree = 12
 		k      = 32 // readings quantized to 1..32
 	)
-	g, err := div.RandomRegular(n, degree, div.NewRand(1))
+	g, err := div.RandomRegular(n, degree, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func main() {
 	// A Watts–Strogatz small world: everyone knows their neighbours
 	// plus a few long-range acquaintances (the rewiring makes it an
 	// expander in practice).
-	g, err := div.WattsStrogatz(n, 10, 0.3, div.NewRand(1))
+	g, err := div.WattsStrogatz(n, 10, 0.3, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestPushDIVInvDegDriftIsZero(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 60; trial++ {
 		n := 5 + r.IntN(40)
-		g, err := graph.ConnectedGnp(n, 0.3, r, 300)
+		g, err := graph.ConnectedGnpSeeded(n, 0.3, r.Uint64(), 300, graph.BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

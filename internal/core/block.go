@@ -254,7 +254,7 @@ type blockRow struct {
 	cooldown, nextCooldown    int64
 
 	// Unused upper half of the last stream word drawn by the 32-bit
-	// kernels (chunkCompleteSmall and the CSR lane loops). Row-local so
+	// kernels (chunkCompleteSmallG and the CSR lane loops). Row-local so
 	// the word↔draw alignment follows the trial, not the chunk schedule.
 	spare     uint32
 	haveSpare bool
@@ -784,7 +784,7 @@ func (b *blockRun) afterChunk(row *blockRow) {
 // ≥ v) realizes either process exactly.
 //
 // At the magic-divide gate (n ≤ 8192, so m = n(n-1) < 2^26) the kernel
-// goes two steps further than the generic loops:
+// goes two steps further than the general-graph loops:
 //
 //   - Half-word draws: m < 2^32, so the Lemire bounded draw runs on 32
 //     bits — q = hi32(x·m) of a 32-bit half of a stream word, accepted
@@ -806,102 +806,23 @@ func (b *blockRun) afterChunk(row *blockRow) {
 //
 // Above the gate the fallback loop uses full-word draws, a hardware
 // divide, and the general SetOpinion path.
+//
+// Both loops live in block_topo.go, generic over the opinion cell, and
+// serve the int32 and compact representations alike: they resolve the
+// slab and the bias once per chunk, so the int32 instances cost what
+// hand-specialized copies did (paired thread-CPU time at K_n(3200),
+// B = 8: generic/specialized 0.985–1.010 in the median).
 func (b *blockRun) chunkComplete(row *blockRow) {
-	if b.compact {
-		// Compact byte representation: the generic transcriptions in
-		// block_topo.go, drawing and updating identically.
-		if b.magic != 0 {
-			chunkCompleteSmallG[uint8](b, row)
-		} else {
-			chunkCompleteBigG[uint8](b, row)
-		}
-		return
+	switch {
+	case b.compact && b.magic != 0:
+		chunkCompleteSmallG[uint8](b, row)
+	case b.compact:
+		chunkCompleteBigG[uint8](b, row)
+	case b.magic != 0:
+		chunkCompleteSmallG[int32](b, row)
+	default:
+		chunkCompleteBigG[int32](b, row)
 	}
-	if b.magic != 0 {
-		b.chunkCompleteSmall(row)
-	} else {
-		b.chunkCompleteBig(row)
-	}
-}
-
-func (b *blockRun) chunkCompleteSmall(row *blockRow) {
-	s := row.s
-	st := &row.stream
-	op := s.opinions
-	counts := s.counts
-	base := s.base
-	m := uint32(b.m)
-	d, magic := b.d, b.magic
-	thresh := -m % m // (2^32 - m) mod m
-	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
-	spare, haveSpare := row.spare, row.haveSpare
-	var drawn, committed, active, sumDelta int64
-	for drawn < limit {
-		var x uint32
-		if haveSpare {
-			x, haveSpare = spare, false
-		} else {
-			word := st.Uint64()
-			x, spare, haveSpare = uint32(word), uint32(word>>32), true
-		}
-		prod := uint64(x) * uint64(m)
-		if uint32(prod) < thresh {
-			continue // rejected half-word: biased residue, redraw
-		}
-		q := uint64(prod >> 32)
-		drawn++
-		v := q * magic >> 40
-		w := q - v*d
-		if w >= v {
-			w++
-		}
-		xv := op[v]
-		xw := op[w]
-		if xv == xw {
-			if probe {
-				row.batch.Idle++
-			}
-			continue
-		}
-		active++
-		var nw int32
-		if xv < xw {
-			nw = xv + 1
-			sumDelta++
-		} else {
-			nw = xv - 1
-			sumDelta--
-		}
-		op[v] = nw
-		i := nw - base
-		j := xv - base
-		counts[i]++
-		counts[j]--
-		if probe {
-			row.batch.Active++
-		}
-		if counts[i] == 1 || counts[j] == 0 {
-			// Support changed: restore full State invariants, then run
-			// the shared milestone/probe/stop path.
-			s.addSteps(drawn - committed)
-			committed = drawn
-			b.syncCompleteState(s, sumDelta)
-			sumDelta = 0
-			s.supVer++
-			if b.afterSupport(row) {
-				break
-			}
-		}
-	}
-	s.addSteps(drawn - committed)
-	b.syncCompleteState(s, sumDelta)
-	row.spare, row.haveSpare = spare, haveSpare
-	row.windowDraws += drawn
-	row.windowActive += active
 }
 
 // syncCompleteState restores the State aggregates the small-K_n loop
@@ -926,56 +847,6 @@ func (b *blockRun) syncCompleteState(s *State, sumDelta int64) {
 	}
 	s.support = support
 	s.minIdx, s.maxIdx = minIdx, maxIdx
-}
-
-func (b *blockRun) chunkCompleteBig(row *blockRow) {
-	s := row.s
-	st := &row.stream
-	op := s.opinions
-	m, d := b.m, b.d
-	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
-	var pending int64
-	for i := int64(0); i < limit; i++ {
-		x := st.Uint64()
-		hi, lo := bits.Mul64(x, m)
-		if lo < m {
-			hi = st.Uint64nSlow(hi, lo, m)
-		}
-		v := hi / d
-		w := hi - v*d
-		if w >= v {
-			w++
-		}
-		pending++
-		xv := op[v]
-		if xv == op[w] {
-			if probe {
-				row.batch.Idle++
-			}
-			continue
-		}
-		row.windowActive++
-		s.addSteps(pending)
-		pending = 0
-		if probe {
-			row.batch.Active++
-		}
-		if xv < op[w] {
-			s.SetOpinion(int(v), int(xv)+1)
-		} else {
-			s.SetOpinion(int(v), int(xv)-1)
-		}
-		if s.SupportVersion() != row.prevVer && b.afterSupport(row) {
-			row.windowDraws += i + 1
-			return
-		}
-	}
-	s.addSteps(pending)
-	row.windowDraws += limit
 }
 
 // chunkVertexBig is the fallback CSR DIV kernel for the vertex process

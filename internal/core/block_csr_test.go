@@ -24,7 +24,7 @@ import (
 // kernel targets: expander, torus, path (the E3–E19 regime).
 func csrTestGraphs(t testing.TB) map[string]*graph.Graph {
 	t.Helper()
-	rr, err := graph.RandomRegular(48, 6, rng.New(0xc5a))
+	rr, err := graph.RandomRegularSeeded(48, 6, 0xc5a, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestBlockCSRDistributionEquivalence(t *testing.T) {
 // bit-for-bit, including when the batch is split across spans.
 func TestBlockCSRLaneInterleaveIdentity(t *testing.T) {
 	const trials = 10
-	rr, err := graph.RandomRegular(300, 8, rng.New(0x1a7e))
+	rr, err := graph.RandomRegularSeeded(300, 8, 0x1a7e, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func fuzzGraph(family uint8, n int) (*graph.Graph, error) {
 		return graph.Torus(3+n%5, 3+n%7), nil
 	default:
 		nn := 8 + 2*(n%24) // even, ≥ 8
-		return graph.RandomRegular(nn, 3+n%4, rng.New(uint64(n)*0x9e37+1))
+		return graph.RandomRegularSeeded(nn, 3+n%4, uint64(n)*0x9e37+1, graph.BuildOpts{})
 	}
 }
 

@@ -2,18 +2,18 @@ package core
 
 import "math/bits"
 
-// This file holds the topology-generic blocked kernels: the lane loops
-// and complete-graph chunk kernels of block.go, generalized over (a)
-// the opinion representation — int32 absolute values or the compact
+// This file holds the topology-generic blocked kernels: the complete-
+// graph chunk kernels, and the lane loops of block.go generalized over
+// (a) the opinion representation — int32 absolute values or the compact
 // base-relative byte slab — and (b) the structure backend — CSR arrays
 // when the run has a materialized graph, Topology interface calls when
-// it runs an implicit family. The draw structure (Lemire thresholds,
-// half-word spare, one-step lookahead) is transcribed from the tuned
-// CSR loops line for line, so a trial consumes its stream identically
-// on every backend × representation combination and trajectories stay
-// byte-identical — the property the equivalence tests pin. The tuned
-// CSR + int32 loops in block.go are untouched and still serve that
-// combination.
+// it runs an implicit family. The lane loops' draw structure (Lemire
+// thresholds, half-word spare, one-step lookahead) is transcribed from
+// the tuned CSR loops line for line, so a trial consumes its stream
+// identically on every backend × representation combination and
+// trajectories stay byte-identical — the property the equivalence tests
+// pin. The tuned CSR + int32 lane loops in block.go still serve that
+// combination; the complete-graph chunks here serve every combination.
 
 // opcell is the opinion-slab element type: int32 for the absolute
 // representation, uint8 for the compact base-relative one.
@@ -42,9 +42,9 @@ func biasOf[O opcell](s *State) int32 {
 	return 0
 }
 
-// chunkCompleteSmallG is chunkCompleteSmall generalized over the
-// opinion representation. The complete-graph kernel touches no
-// adjacency at all, so the one transcription serves CSR and implicit
+// chunkCompleteSmallG is the magic-divide K_n kernel (see
+// chunkComplete), generic over the opinion representation. It touches
+// no adjacency at all, so the one source serves CSR and implicit
 // backends alike.
 func chunkCompleteSmallG[O opcell](b *blockRun, row *blockRow) {
 	s := row.s
@@ -124,9 +124,10 @@ func chunkCompleteSmallG[O opcell](b *blockRun, row *blockRow) {
 	row.windowActive += active
 }
 
-// chunkCompleteBigG is chunkCompleteBig generalized over the opinion
-// representation: full-word draws, hardware divide, general SetOpinion
-// path (absOff converts a slab value back to the absolute opinion).
+// chunkCompleteBigG is the K_n kernel above the magic-divide gate,
+// generic over the opinion representation: full-word draws, hardware
+// divide, general SetOpinion path (absOff converts a slab value back
+// to the absolute opinion).
 func chunkCompleteBigG[O opcell](b *blockRun, row *blockRow) {
 	s := row.s
 	st := &row.stream

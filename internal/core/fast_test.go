@@ -36,7 +36,7 @@ func TestGeomSkipDistribution(t *testing.T) {
 // equivalence tests: one from each structural class in the paper.
 func testGraphs(t testing.TB) map[string]*graph.Graph {
 	t.Helper()
-	rr, err := graph.RandomRegular(16, 4, rng.New(0xfa))
+	rr, err := graph.RandomRegularSeeded(16, 4, 0xfa, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestEngineParseAndString(t *testing.T) {
 // UntilMaxSteps run must still report exactly MaxSteps.
 func TestAutoHeuristic(t *testing.T) {
 	dense := hybridCostUnits(graph.Complete(100))
-	rr, err := graph.RandomRegular(128, 4, rng.New(2))
+	rr, err := graph.RandomRegularSeeded(128, 4, 2, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,10 @@ import "div/internal/obs"
 // iteration costs 230–270 ns ≈ 10–14 naive draws on rr(10⁴,8) and
 // 300–450 ns ≈ 12–18 draws on rr(10⁴,16): about twice the model. The
 // model is kept: with the measured cost u' ≈ 2(d̄/3 + 4) the entry
-// threshold sits at the break-even 1/u', and doubling R moved no E20
-// auto median beyond run-to-run noise. The factor-2 gap between the thresholds is hysteresis; entry
+// threshold sits at the break-even 1/u', and doubling R moved no auto
+// per-step median on rr(10⁴,8) (uniform, final-stage and dissenter
+// profiles) beyond run-to-run noise. The factor-2 gap between the
+// thresholds is hysteresis; entry
 // uses a cheap per-window counter, exit the exact mass the set already
 // maintains. Because the minority-size random walk of a final stage
 // re-crosses any fixed threshold many times, two further guards keep

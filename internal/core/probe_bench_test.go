@@ -9,15 +9,15 @@ import (
 )
 
 // BenchmarkAutoPerStepDissenter measures the per-step wall-clock cost of
-// a full EngineAuto consensus run on the E20 dissenter profile
+// a full EngineAuto consensus run on the dissenter profile
 // (RR(10000,8), two-opinion split with n/500 dissenters, vertex
 // process). This is the acceptance benchmark for the observability
 // layer: with Config.Probe == nil the cost must stay within 2% of the
 // pre-probe baseline. The reported metric is ns/step (per-trial
-// elapsed over realized steps), the same normalization E20 gates on.
+// elapsed over realized steps).
 func BenchmarkAutoPerStepDissenter(b *testing.B) {
 	const n, d = 10000, 8
-	g, err := graph.RandomRegular(n, d, rng.New(rng.DeriveSeed(1, 0x2000)))
+	g, err := graph.RandomRegularSeeded(n, d, rng.DeriveSeed(1, 0x2000), graph.BuildOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}

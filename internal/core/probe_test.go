@@ -23,12 +23,12 @@ func (p *collectingProbe) Discordance(d obs.Discordance)   { p.discords = append
 func (p *collectingProbe) Stage(s obs.Stage)               { p.stages = append(p.stages, s) }
 func (p *collectingProbe) Done(d obs.Done)                 { p.dones = append(p.dones, d) }
 
-// dissenterConfig builds the E20-style final-stage workload: a random
+// dissenterConfig builds the dissenter final-stage workload: a random
 // regular graph with a small minority at opinion 2 — the profile that
 // exercises the hybrid engine's naive→fast→naive transitions.
 func dissenterConfig(t *testing.T, n, d, dissenters int, seed uint64) Config {
 	t.Helper()
-	g, err := graph.RandomRegular(n, d, rng.New(rng.DeriveSeed(seed, 1)))
+	g, err := graph.RandomRegularSeeded(n, d, rng.DeriveSeed(seed, 1), graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestSignedArcSumAlwaysZero(t *testing.T) {
 	r := rng.New(33)
 	for trial := 0; trial < 50; trial++ {
 		n := 5 + r.IntN(40)
-		g, err := graph.ConnectedGnp(n, 0.3, r, 200)
+		g, err := graph.ConnectedGnpSeeded(n, 0.3, r.Uint64(), 200, graph.BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

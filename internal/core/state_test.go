@@ -172,7 +172,7 @@ func TestQuickStateInvariants(t *testing.T) {
 		n := int(rawN%30) + 2
 		k := int(rawK%9) + 2
 		r := rng.New(seed)
-		g, err := graph.ConnectedGnp(n, 0.5, r, 200)
+		g, err := graph.ConnectedGnpSeeded(n, 0.5, r.Uint64(), 200, graph.BuildOpts{})
 		if err != nil {
 			return true // skip pathological density draws
 		}

@@ -91,8 +91,7 @@ type BenchE2 struct {
 // pre-scheduler path: experiments in order, every sweep through
 // sim.TrialsWorker) against the same pass on the work-stealing
 // scheduler (experiments concurrent, trials interleaved across
-// experiments and points). Timing-sensitive experiments (Def.Timing)
-// are excluded from both passes. The two passes produce byte-identical
+// experiments and points). The two passes produce byte-identical
 // reports; only the wall clock differs.
 type BenchSuite struct {
 	Experiments      []string `json:"experiments"`
@@ -146,11 +145,10 @@ type benchFamily struct {
 // updates touch every leaf, and under the edge process the hub and the
 // leaves sit in degree buckets 2^14 and 2^0 of the rejection sampler.
 func benchFamilies(p Params) ([]benchFamily, error) {
-	r := rng.New(rng.DeriveSeed(p.Seed, 0xbe7c))
 	nK := p.pick(256, 2000)
 	nRR := p.pick(512, 10000)
 	nStar := p.pick(512, 10000)
-	rr, err := graph.RandomRegular(nRR, 8, r)
+	rr, err := graph.RandomRegularSeeded(nRR, 8, rng.DeriveSeed(p.Seed, 0xbe7c), graph.BuildOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -395,13 +393,8 @@ func BenchEngine(p Params) (*BenchReport, error) {
 // records both wall clocks. Quick sizes regardless of p.Quick: the
 // point is the scheduling comparison, not the workload size.
 func benchSuite(p Params) (*BenchSuite, error) {
-	var defs []Def
 	s := &BenchSuite{GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, d := range All {
-		if d.Timing {
-			continue
-		}
-		defs = append(defs, d)
 		s.Experiments = append(s.Experiments, d.ID)
 	}
 	sp := Params{Quick: true, Seed: p.Seed, Parallelism: p.Parallelism, Engine: p.Engine}
@@ -409,7 +402,7 @@ func benchSuite(p Params) (*BenchSuite, error) {
 		rp := sp
 		rp.Serial = serial
 		start := time.Now()
-		_, errs := RunAll(rp, defs)
+		_, errs := RunAll(rp, All)
 		for _, err := range errs {
 			if err != nil {
 				return 0, err

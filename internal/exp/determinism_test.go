@@ -6,20 +6,14 @@ import (
 	"testing"
 )
 
-// suiteText renders the full quick suite (every non-timing experiment)
-// as one canonical text document under the given parameters.
+// suiteText renders the full quick suite as one canonical text
+// document under the given parameters.
 func suiteText(t *testing.T, p Params) string {
 	t.Helper()
-	var defs []Def
-	for _, d := range All {
-		if !d.Timing {
-			defs = append(defs, d)
-		}
-	}
-	reports, errs := RunAll(p, defs)
+	reports, errs := RunAll(p, All)
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("%s: %v", defs[i].ID, err)
+			t.Fatalf("%s: %v", All[i].ID, err)
 		}
 	}
 	var b strings.Builder

@@ -38,7 +38,7 @@ func E17PushPull(p Params) (*Report, error) {
 	bad := 0
 	for i := 0; i < configs; i++ {
 		n := 5 + r.IntN(50)
-		g, err := graph.ConnectedGnp(n, 0.25+0.5*r.Float64(), r, 300)
+		g, err := graph.ConnectedGnpSeeded(n, 0.25+0.5*r.Float64(), r.Uint64(), 300, graph.BuildOpts{})
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func E3Martingale(p Params) (*Report, error) {
 	var maxAbs int64
 	for i := 0; i < configs; i++ {
 		n := 5 + r.IntN(60)
-		g, err := graph.ConnectedGnp(n, 0.2+0.6*r.Float64(), r, 300)
+		g, err := graph.ConnectedGnpSeeded(n, 0.2+0.6*r.Float64(), r.Uint64(), 300, graph.BuildOpts{})
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
-// Package exp implements the repository's experiment suite E1–E20: one
+// Package exp implements the repository's experiment suite E1–E19: one
 // experiment per theorem, lemma, closed-form probability, or worked
-// example in the paper (plus the E14 distributed-deployment extension
-// and the E20 fast-engine benchmark).
+// example in the paper (plus the E14 distributed-deployment extension).
 // DESIGN.md §3 is the index. Each experiment produces text tables (and
 // the scaling ones ASCII figures), together with named pass/fail checks
 // asserted by the integration tests, so "paper claim vs. measured"
@@ -186,11 +185,6 @@ type Def struct {
 	ID   string
 	Name string
 	Run  Func
-	// Timing marks experiments whose tables report wall-clock
-	// measurements (E20's engine benchmark): their output legitimately
-	// varies run to run, so the determinism regression test and the
-	// suite-timing benchmark skip them.
-	Timing bool
 }
 
 // All lists every experiment in index order.
@@ -214,7 +208,6 @@ var All = []Def{
 	{ID: "E17", Name: "push vs pull: which average survives", Run: E17PushPull},
 	{ID: "E18", Name: "zealots / stubborn vertices (extension)", Run: E18Zealots},
 	{ID: "E19", Name: "pull voting ↔ coalescing walks duality", Run: E19CoalescingDuality},
-	{ID: "E20", Name: "fast engine speedup (discordance tracking)", Run: E20FastEngine, Timing: true},
 }
 
 // RunAll runs the given experiments (all of them when defs is empty)

@@ -106,12 +106,6 @@ func BenchScalingRun(p Params, widths []int) (*BenchScaling, error) {
 		s.Note = "single-CPU host: widths > 1 timeslice one core, so speedup_vs_width1 ≈ 1 is the honest ceiling; counters are per-pass deltas; blocked rows are interleaved min-of-N seconds"
 	}
 
-	var defs []Def
-	for _, d := range All {
-		if !d.Timing {
-			defs = append(defs, d)
-		}
-	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -129,10 +123,10 @@ func BenchScalingRun(p Params, widths []int) (*BenchScaling, error) {
 		busy0 := pool.BusyNanos()
 		before := scalingCounterSnapshot()
 		start := time.Now()
-		_, errs := RunAll(Params{Quick: true, Seed: p.Seed, Engine: p.Engine, Block: p.Block, Parallelism: w}, defs)
+		_, errs := RunAll(Params{Quick: true, Seed: p.Seed, Engine: p.Engine, Block: p.Block, Parallelism: w}, All)
 		for i, err := range errs {
 			if err != nil {
-				return nil, fmt.Errorf("scaling width %d: %s: %w", w, defs[i].ID, err)
+				return nil, fmt.Errorf("scaling width %d: %s: %w", w, All[i].ID, err)
 			}
 		}
 		wall := time.Since(start)
@@ -200,7 +194,7 @@ func benchBlockedCSR(p Params) ([]BenchBlockRow, []string, error) {
 	stepsPerTrial := int64(p.pick(1<<16, 1<<17))
 	trials := p.pick(4, 8)
 	reps := p.pick(3, 5)
-	rr, err := graph.RandomRegular(n, 8, rng.New(rng.DeriveSeed(p.Seed, 0x5ca1e)))
+	rr, err := graph.RandomRegularSeeded(n, 8, rng.DeriveSeed(p.Seed, 0x5ca1e), graph.BuildOpts{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,8 +3,6 @@ package graph
 import (
 	"testing"
 	"testing/quick"
-
-	"div/internal/rng"
 )
 
 func TestBFSPath(t *testing.T) {
@@ -153,7 +151,7 @@ func TestQuickRandomGraphsValid(t *testing.T) {
 	f := func(seed uint64, rawN uint8, rawP uint8) bool {
 		n := int(rawN%40) + 2
 		p := float64(rawP%100) / 100
-		g, err := Gnp(n, p, rng.New(seed))
+		g, err := GnpSeeded(n, p, seed, BuildOpts{})
 		if err != nil {
 			return false
 		}

@@ -2,13 +2,11 @@ package graph
 
 import (
 	"testing"
-
-	"div/internal/rng"
 )
 
 func arcIndexGraphs(t *testing.T) map[string]*Graph {
 	t.Helper()
-	rr, err := RandomRegular(14, 4, rng.New(0xa1))
+	rr, err := RandomRegularSeeded(14, 4, 0xa1, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
-// Law-equivalence battery for the seeded builders: the seed→graph
-// mapping changed (PCG streams → keyed Philox counter streams), which
-// is allowed — the sampling law is not. These tests draw matched
-// ensembles from the legacy *rand.Rand builders and the seeded
-// builders and require the degree distributions (two-sample χ²) and
-// spectral-gap estimates (two-sample KS) to be statistically
-// indistinguishable at α = 0.001.
+// Sampling-law battery for the random builders: each family is checked
+// against a closed form, not against another implementation — the
+// G(n,p) degree and edge-count laws, the spectral concentration of
+// random-regular and connected G(n,p) graphs, and the
+// degree-proportional attachment law of Barabási–Albert. (The
+// Watts–Strogatz rewiring and the random-regular pairing are pinned by
+// exact stream replays in build_test.go.) The χ² checks run at
+// α = 0.001.
 //
 // External test package: the λ checks need internal/spectral, which
 // imports graph — an internal test would cycle.
@@ -12,11 +13,9 @@ package graph_test
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"div/internal/graph"
-	"div/internal/rng"
 	"div/internal/spectral"
 	"div/internal/stats"
 )
@@ -37,165 +36,98 @@ func chi2Crit001(df int) float64 {
 	return d * t * t * t
 }
 
-// chi2TwoSampleDegrees pools two degree samples into cells (merging
-// sparse neighbours, the house pattern from the engine equivalence
-// suites) and returns the two-sample χ² statistic and df.
-func chi2TwoSampleDegrees(a, b []int) (stat float64, df int) {
-	count := map[int][2]float64{}
-	for _, d := range a {
-		c := count[d]
-		c[0]++
-		count[d] = c
-	}
-	for _, d := range b {
-		c := count[d]
-		c[1]++
-		count[d] = c
-	}
-	cats := make([]int, 0, len(count))
-	for d := range count {
-		cats = append(cats, d)
-	}
-	sort.Ints(cats)
-	cells := make([][2]float64, 0, len(cats))
-	for _, d := range cats {
-		cells = append(cells, count[d])
-	}
-	for len(cells) > 1 {
-		idx := -1
-		for i, c := range cells {
-			if c[0]+c[1] < 10 {
-				idx = i
-				break
-			}
+// mergeCells merges neighbouring categories of observed and expected
+// counts (left to right, the remainder into the last cell) until each
+// cell expects at least 10 — the house pattern of the engine
+// equivalence suites — for stats.ChiSquare.
+func mergeCells(obs []int64, exp []float64) ([]int64, []float64) {
+	var mo []int64
+	var me []float64
+	var co int64
+	var ce float64
+	for i := range obs {
+		co += obs[i]
+		ce += exp[i]
+		if ce >= 10 {
+			mo, me = append(mo, co), append(me, ce)
+			co, ce = 0, 0
 		}
-		if idx < 0 {
-			break
-		}
-		j := idx - 1
-		if j < 0 {
-			j = idx + 1
-		}
-		cells[j][0] += cells[idx][0]
-		cells[j][1] += cells[idx][1]
-		cells = append(cells[:idx], cells[idx+1:]...)
 	}
-	if len(cells) < 2 {
-		return 0, 0
+	if len(mo) > 0 {
+		mo[len(mo)-1] += co
+		me[len(me)-1] += ce
 	}
-	na, nb := float64(len(a)), float64(len(b))
-	grand := na + nb
-	for _, c := range cells {
-		rowTotal := c[0] + c[1]
-		ea := rowTotal * na / grand
-		eb := rowTotal * nb / grand
-		stat += (c[0]-ea)*(c[0]-ea)/ea + (c[1]-eb)*(c[1]-eb)/eb
-	}
-	return stat, len(cells) - 1
+	return mo, me
 }
 
-func degreesOf(g *graph.Graph) []int {
-	ds := make([]int, g.N())
-	for v := range ds {
-		ds[v] = g.Degree(v)
-	}
-	return ds
+// binomialPMF returns P[Binomial(n, p) = k].
+func binomialPMF(n, k int, p float64) float64 {
+	lg := func(x int) float64 { v, _ := math.Lgamma(float64(x) + 1); return v }
+	return math.Exp(lg(n) - lg(k) - lg(n-k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
 }
 
-// ksCrit001 is the asymptotic two-sample KS critical value at
-// α = 0.001 (conservative under discreteness/ties).
-func ksCrit001(m, n int) float64 {
-	return 1.95 * math.Sqrt(float64(m+n)/float64(m)/float64(n))
-}
-
-// TestSeededLawEquivalenceDegrees draws R graphs per generation per
-// family and compares pooled degree distributions.
+// TestSeededLawEquivalenceDegrees checks the seeded builder's degree
+// law against its closed form: gnp(600,0.02) pools the degrees of R
+// samples of G(n,p) and tests them against Binomial(n−1, p), and the
+// total edge count against Binomial(R·n(n−1)/2, p). (Barabási–Albert
+// and Watts–Strogatz have their own law tests: the attachment law below
+// and the rewiring replay in build_test.go.)
 func TestSeededLawEquivalenceDegrees(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical battery")
-	}
-	const R = 24
-	families := []struct {
-		name   string
-		legacy func(seed uint64) (*graph.Graph, error)
-		seeded func(seed uint64) (*graph.Graph, error)
-	}{
-		{
-			"gnp(600,0.02)",
-			func(seed uint64) (*graph.Graph, error) { return graph.Gnp(600, 0.02, rng.New(seed)) },
-			func(seed uint64) (*graph.Graph, error) { return graph.GnpSeeded(600, 0.02, seed, graph.BuildOpts{}) },
-		},
-		{
-			"ba(600,3)",
-			func(seed uint64) (*graph.Graph, error) { return graph.BarabasiAlbert(600, 3, rng.New(seed)) },
-			func(seed uint64) (*graph.Graph, error) {
-				return graph.BarabasiAlbertSeeded(600, 3, seed, graph.BuildOpts{})
-			},
-		},
-		{
-			"ws(600,6,0.3)",
-			func(seed uint64) (*graph.Graph, error) { return graph.WattsStrogatz(600, 6, 0.3, rng.New(seed)) },
-			func(seed uint64) (*graph.Graph, error) {
-				return graph.WattsStrogatzSeeded(600, 6, 0.3, seed, graph.BuildOpts{})
-			},
-		},
-	}
-	for _, fam := range families {
-		t.Run(fam.name, func(t *testing.T) {
-			var legacyDs, seededDs []int
-			for r := 0; r < R; r++ {
-				lg, err := fam.legacy(uint64(1000 + r))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sg, err := fam.seeded(uint64(1000 + r))
-				if err != nil {
-					t.Fatal(err)
-				}
-				legacyDs = append(legacyDs, degreesOf(lg)...)
-				seededDs = append(seededDs, degreesOf(sg)...)
+	t.Run("gnp(600,0.02)", func(t *testing.T) {
+		const n, p, R = 600, 0.02, 24
+		obs := make([]int64, n)
+		var edges int
+		for r := 0; r < R; r++ {
+			g, err := graph.GnpSeeded(n, p, uint64(1000+r), graph.BuildOpts{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			stat, df := chi2TwoSampleDegrees(legacyDs, seededDs)
-			if df > 0 && stat > chi2Crit001(df) {
-				t.Errorf("degree χ²(%d) = %.2f > %.2f (α=0.001): seeded law differs from legacy", df, stat, chi2Crit001(df))
+			for v := 0; v < n; v++ {
+				obs[g.Degree(v)]++
 			}
-		})
-	}
-	// RandomRegular degrees are deterministic (all d); the law check
-	// that matters is λ, below. Still pin regularity here.
-	g, err := graph.RandomRegularSeeded(600, 6, 7, graph.BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsRegular() || g.MaxDegree() != 6 {
-		t.Fatalf("RandomRegularSeeded not 6-regular")
-	}
+			edges += g.M()
+		}
+		exp := make([]float64, n)
+		for k := range exp {
+			exp[k] = R * n * binomialPMF(n-1, k, p)
+		}
+		stat, df, err := stats.ChiSquare(mergeCells(obs, exp))
+		if err != nil || df < 1 {
+			t.Fatalf("degree χ²: df=%d err=%v", df, err)
+		}
+		if stat > chi2Crit001(df) {
+			t.Errorf("degree χ²(%d) = %.2f > %.2f (α=0.001): degrees are not Binomial(%d, %g)", df, stat, chi2Crit001(df), n-1, p)
+		}
+		const pairs = R * n * (n - 1) / 2
+		if z := stats.BinomialZ(edges, pairs, p); math.Abs(z) > 3.29 {
+			t.Errorf("%d edges over %d samples: z = %.2f against Binomial(%d, %g) (|z| ≤ 3.29 at α=0.001)", edges, R, z, pairs, p)
+		}
+	})
 }
 
-// TestSeededLawEquivalenceLambda compares the spectral-gap estimate
-// distributions of the two generations (two-sample KS): for G(n,p)
-// and random-regular ensembles λ concentrates, so a law change shows
-// up as a location shift KS catches quickly.
+// TestSeededLawEquivalenceLambda checks each family's λ against its
+// closed-form law: on every sample λ must sit where theory puts it —
+// Friedman's 2√(d−1)/d for random d-regular graphs (which must also be
+// simple and connected), and 2√((1−p)/(np)) for connected G(n,p). On
+// the test's 20 seeds rr(400,6) reads λ in 0.728–0.746 (Friedman
+// 0.745) and gnp(400,0.04) in 0.464–0.489 (0.490).
 func TestSeededLawEquivalenceLambda(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical battery")
-	}
 	const R = 20
 	families := []struct {
 		name   string
-		legacy func(seed uint64) (*graph.Graph, error)
-		seeded func(seed uint64) (*graph.Graph, error)
+		want   float64
+		tol    float64
+		degree int // every vertex's degree, 0 when irregular
+		build  func(seed uint64) (*graph.Graph, error)
 	}{
 		{
-			"gnp(400,0.04)",
-			func(seed uint64) (*graph.Graph, error) { return graph.ConnectedGnp(400, 0.04, rng.New(seed), 200) },
+			"gnp(400,0.04)", 2 * math.Sqrt((1-0.04)/(400*0.04)), 0.04, 0,
 			func(seed uint64) (*graph.Graph, error) {
 				return graph.ConnectedGnpSeeded(400, 0.04, seed, 200, graph.BuildOpts{})
 			},
 		},
 		{
-			"rr(400,6)",
-			func(seed uint64) (*graph.Graph, error) { return graph.RandomRegular(400, 6, rng.New(seed)) },
+			"rr(400,6)", spectral.LambdaRandomRegularBound(6), 0.03, 6,
 			func(seed uint64) (*graph.Graph, error) {
 				return graph.RandomRegularSeeded(400, 6, seed, graph.BuildOpts{})
 			},
@@ -203,34 +135,84 @@ func TestSeededLawEquivalenceLambda(t *testing.T) {
 	}
 	for _, fam := range families {
 		t.Run(fam.name, func(t *testing.T) {
-			var legacyL, seededL []float64
 			for r := 0; r < R; r++ {
-				lg, err := fam.legacy(uint64(2000 + r))
+				seed := uint64(2000 + r)
+				g, err := fam.build(seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sg, err := fam.seeded(uint64(2000 + r))
+				if err := g.Validate(); err != nil {
+					t.Fatalf("seed %d: not simple: %v", seed, err)
+				}
+				if fam.degree > 0 && (!g.IsRegular() || g.MaxDegree() != fam.degree) {
+					t.Fatalf("seed %d: not %d-regular", seed, fam.degree)
+				}
+				if !graph.IsConnected(g) {
+					t.Fatalf("seed %d: disconnected", seed)
+				}
+				lam, err := spectral.Lambda(g, spectral.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ll, err := spectral.Lambda(lg, spectral.Options{})
-				if err != nil {
-					t.Fatal(err)
+				if math.Abs(lam-fam.want) > fam.tol {
+					t.Errorf("seed %d: λ = %.4f, want %.4f ± %.2f", seed, lam, fam.want, fam.tol)
 				}
-				sl, err := spectral.Lambda(sg, spectral.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				legacyL = append(legacyL, ll)
-				seededL = append(seededL, sl)
-			}
-			d, err := stats.KS2Sample(legacyL, seededL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if crit := ksCrit001(len(legacyL), len(seededL)); d > crit {
-				t.Errorf("λ KS = %.3f > %.3f (α=0.001): seeded λ law differs from legacy", d, crit)
 			}
 		})
+	}
+}
+
+// TestBarabasiAlbertSeededAttachmentLaw pins preferential attachment.
+// Structure: C(m+1, 2) seed-clique edges plus m per arrival, and
+// minimum degree m. Law: in BA(n, 1) the last arrival's single pick is
+// distributed as deg(u)/Σdeg on the graph induced by the earlier
+// vertices — exactly the state it attached to — so pooling R seeds,
+// the picks per degree class must match the summed class masses (χ²).
+func TestBarabasiAlbertSeededAttachmentLaw(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{50, 1}, {300, 2}, {300, 3}, {120, 5}} {
+		g, err := graph.BarabasiAlbertSeeded(tc.n, tc.m, 7, graph.BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.m*(tc.m+1)/2 + tc.m*(tc.n-tc.m-1); g.M() != want {
+			t.Errorf("BA(%d,%d) has %d edges, want %d", tc.n, tc.m, g.M(), want)
+		}
+		if g.MinDegree() != tc.m {
+			t.Errorf("BA(%d,%d) min degree %d, want %d", tc.n, tc.m, g.MinDegree(), tc.m)
+		}
+	}
+
+	const n, R = 100, 2000
+	const maxClass = n // degree classes 1..n-1 before the last arrival
+	obs := make([]int64, maxClass)
+	exp := make([]float64, maxClass)
+	for r := 0; r < R; r++ {
+		g, err := graph.BarabasiAlbertSeeded(n, 1, uint64(3000+r), graph.BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := n - 1
+		if g.Degree(last) != 1 {
+			t.Fatalf("seed %d: last arrival has degree %d", 3000+r, g.Degree(last))
+		}
+		pick := g.Neighbors(last)[0]
+		// Degrees in the graph the last arrival attached to: the pick
+		// loses the last edge, every other earlier vertex keeps its own.
+		total := float64(2 * (g.M() - 1))
+		for u := 0; u < last; u++ {
+			d := g.Degree(u)
+			if u == int(pick) {
+				d--
+			}
+			exp[d] += float64(d) / total
+		}
+		obs[g.Degree(int(pick))-1]++
+	}
+	stat, df, err := stats.ChiSquare(mergeCells(obs, exp))
+	if err != nil || df < 1 {
+		t.Fatalf("attachment χ²: df=%d err=%v", df, err)
+	}
+	if stat > chi2Crit001(df) {
+		t.Errorf("last-arrival pick by degree class: χ²(%d) = %.2f > %.2f (α=0.001): attachment is not ∝ degree", df, stat, chi2Crit001(df))
 	}
 }

@@ -81,19 +81,21 @@ func TestBuildIdentityAcrossWorkersAndStripes(t *testing.T) {
 }
 
 // TestBuildSeedSensitivity guards against a degenerate keying bug:
-// different seeds must give different graphs (overwhelmingly likely
-// for these sizes).
+// different seeds must give different graphs in every family
+// (overwhelmingly likely for these sizes).
 func TestBuildSeedSensitivity(t *testing.T) {
-	a, err := GnpSeeded(500, 0.02, 1, BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GnpSeeded(500, 0.02, 2, BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if graphBytesEqual(a, b) {
-		t.Fatal("seeds 1 and 2 produced identical G(500,0.02) — keying broken")
+	for _, fam := range seededBuilders {
+		a, err := fam.build(1, BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fam.build(2, BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if graphBytesEqual(a, b) {
+			t.Fatalf("%s: seeds 1 and 2 produced identical graphs — keying broken", fam.name)
+		}
 	}
 }
 
@@ -135,7 +137,7 @@ func TestBuildCSRMatchesNewFromEdges(t *testing.T) {
 	}
 }
 
-// TestBuildCSRErrors pins the exact legacy error strings and that
+// TestBuildCSRErrors pins the exact NewFromEdges error strings and that
 // error selection is deterministic under parallelism (earliest row
 // wins, not fastest worker).
 func TestBuildCSRErrors(t *testing.T) {
@@ -238,14 +240,13 @@ func TestGeometricSkipClamp(t *testing.T) {
 		t.Errorf("skipFromUniform(0.25, log(0.5)) = %d, want 2", got)
 	}
 	// End to end: a tiny-p build terminates with an (almost surely)
-	// empty edge set instead of hanging, on both generations.
-	g, err := Gnp(1000, 1e-18, rng.New(1))
-	if err != nil || g.M() != 0 {
-		t.Fatalf("legacy tiny-p: m=%d err=%v", g.M(), err)
-	}
-	g, err = GnpSeeded(1000, 1e-18, 1, BuildOpts{})
-	if err != nil || g.M() != 0 {
-		t.Fatalf("seeded tiny-p: m=%d err=%v", g.M(), err)
+	// empty edge set instead of hanging, on the serial count/scatter
+	// path and on the striped emit path.
+	for _, workers := range []int{1, 4} {
+		g, err := GnpSeeded(1000, 1e-18, 1, BuildOpts{Workers: workers, Grain: 64})
+		if err != nil || g.M() != 0 {
+			t.Fatalf("workers=%d tiny-p: m=%d err=%v", workers, g.M(), err)
+		}
 	}
 }
 
@@ -276,7 +277,7 @@ func TestRandomRegularSeededPairingEquivalence(t *testing.T) {
 }
 
 // mapPairingReference mirrors tryPairingTable draw for draw, with the
-// legacy map dedup instead of the neighbour table.
+// edge-keyed map dedup instead of the neighbour table.
 func mapPairingReference(n, d int, seed uint64) ([]Edge, int) {
 	key := func(u, v int32) int64 {
 		if u > v {
@@ -329,24 +330,91 @@ func mapPairingReference(n, d int, seed uint64) ([]Edge, int) {
 }
 
 // TestWattsStrogatzSeededLattice: with beta = 0 there is no
-// randomness, so the seeded and legacy builders must agree exactly —
-// this pins the parallel lattice fill to the serial loop.
+// randomness, and the graph must be the circulant C_n(1, …, d/2) byte
+// for byte at every worker count — this pins the parallel lattice fill.
 func TestWattsStrogatzSeededLattice(t *testing.T) {
 	for _, tc := range []struct{ n, d int }{{20, 4}, {101, 6}, {64, 2}} {
-		legacy, err := WattsStrogatz(tc.n, tc.d, 0, rng.New(1))
-		if err != nil {
-			t.Fatal(err)
+		strides := make([]int, tc.d/2)
+		for i := range strides {
+			strides[i] = i + 1
 		}
+		ring := Circulant(tc.n, strides)
 		for _, workers := range []int{1, 4} {
 			seeded, err := WattsStrogatzSeeded(tc.n, tc.d, 0, 99, BuildOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !graphBytesEqual(legacy, seeded) {
-				t.Fatalf("n=%d d=%d workers=%d: beta=0 lattice differs from legacy", tc.n, tc.d, workers)
+			if !graphBytesEqual(ring, seeded) {
+				t.Fatalf("n=%d d=%d workers=%d: beta=0 lattice differs from the circulant", tc.n, tc.d, workers)
 			}
 		}
 	}
+}
+
+// TestWattsStrogatzSeededRewireReplay checks rewireLattice's
+// deviation hashing against a reference that replays the same
+// Stream (seed, 0) over a full edge map: every rewiring decision, and
+// so every edge, must agree. Small n with large beta forces target
+// conflicts and exhausted retries.
+func TestWattsStrogatzSeededRewireReplay(t *testing.T) {
+	for _, tc := range []struct {
+		n, d int
+		beta float64
+	}{{200, 6, 0.3}, {101, 4, 1}, {64, 2, 0.5}, {30, 8, 0.9}, {12, 10, 0.7}} {
+		for seed := uint64(0); seed < 5; seed++ {
+			ref, err := NewFromEdges(tc.n, wattsStrogatzMapReference(tc.n, tc.d, tc.beta, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				g, err := WattsStrogatzSeeded(tc.n, tc.d, tc.beta, seed, BuildOpts{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !graphBytesEqual(g, ref) {
+					t.Fatalf("n=%d d=%d beta=%g seed=%d workers=%d: rewiring differs from the edge-map replay",
+						tc.n, tc.d, tc.beta, seed, workers)
+				}
+			}
+		}
+	}
+}
+
+// wattsStrogatzMapReference is the Watts–Strogatz rewiring scan over a
+// full edge-membership map, drawing from the stream the builder uses.
+func wattsStrogatzMapReference(n, d int, beta float64, seed uint64) []Edge {
+	key := func(u, v int) int64 {
+		if u > v {
+			u, v = v, u
+		}
+		return int64(u)<<32 | int64(v)
+	}
+	adj := make(map[int64]bool)
+	var edges []Edge
+	for v := 0; v < n; v++ {
+		for s := 1; s <= d/2; s++ {
+			edges = append(edges, Edge{U: v, V: (v + s) % n})
+			adj[key(v, (v+s)%n)] = true
+		}
+	}
+	s := rng.NewStream(seed, 0)
+	for i := range edges {
+		if s.Float64() >= beta {
+			continue
+		}
+		e := edges[i]
+		for try := 0; try < 64; try++ {
+			t := int(s.Uint64n(uint64(n)))
+			if t == e.U || t == e.V || adj[key(e.U, t)] {
+				continue
+			}
+			delete(adj, key(e.U, e.V))
+			adj[key(e.U, t)] = true
+			edges[i].V = t
+			break
+		}
+	}
+	return edges
 }
 
 // TestSeededBuildersValidate runs the structural validator and basic

@@ -3,8 +3,6 @@ package graph
 import (
 	"strings"
 	"testing"
-
-	"div/internal/rng"
 )
 
 func TestEdgeListRoundTrip(t *testing.T) {
@@ -38,8 +36,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestEdgeListRoundTripRandom(t *testing.T) {
-	r := rng.New(11)
-	g, err := Gnp(60, 0.1, r)
+	g, err := GnpSeeded(60, 0.1, 11, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

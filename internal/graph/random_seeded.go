@@ -11,18 +11,20 @@ import (
 	"div/internal/sched"
 )
 
-// This file holds the seeded random-family builders: the same sampling
-// laws as the legacy *rand.Rand builders in random.go, but driven by
-// Philox counter streams keyed on the build seed so each graph is a
-// pure function of (family parameters, seed) — independent of worker
-// count, stripe size, and everything else about scheduling — and
-// assembled directly into CSR form (BuildCSR, no []Edge detour).
+// This file holds the random-family builders, the module's only
+// random-graph constructors. Each draws from Philox counter streams
+// keyed on the build seed, so a graph is a pure function of (family
+// parameters, seed) — independent of worker count, stripe size, and
+// everything else about scheduling — and is assembled directly into
+// CSR form (BuildCSR, no []Edge detour).
 //
-// The seed→graph mapping differs from the legacy builders (a PCG
-// stream and a keyed Philox stream cannot agree), which is allowed:
-// the law is what must not change, and the equivalence tests in
-// random_seeded_test.go pin degree distributions and spectral-gap
-// estimates of the two generations together (χ²/KS).
+// The sampling laws are pinned by closed forms and exact replays in
+// build_law_test.go and build_test.go: Binomial degree and edge-count
+// laws for G(n,p), Friedman's λ for random-regular graphs and the
+// G(n,p) spectral bound for the connected variant, a byte-for-byte
+// lattice at β = 0 and a full edge-map replay of the rewiring for
+// Watts–Strogatz, and the degree-proportional attachment law for
+// Barabási–Albert.
 //
 // How each family parallelizes:
 //
@@ -43,9 +45,11 @@ import (
 
 // GnpSeeded returns G(n,p) as a pure function of (n, p, seed): row v
 // samples its edges {w, v} (w < v) by geometric skipping from a Philox
-// counter stream keyed (seed, v). The same law as Gnp — restarting the
+// counter stream keyed (seed, v). Restarting the Batagelj–Brandes
 // skip chain at each row boundary still makes every pair an
-// independent Bernoulli(p) — with construction striped across rows.
+// independent Bernoulli(p), and lets construction stripe across rows.
+// For p ≥ 2(1+ε)log(n)/n these are expanders with λ ≲ 2/√(np) w.h.p.
+// (paper, "Graphs with small second eigenvalue").
 func GnpSeeded(n int, p float64, seed uint64, opts BuildOpts) (*Graph, error) {
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("graph: Gnp probability %v out of [0,1]", p)
@@ -66,6 +70,40 @@ func GnpSeeded(n int, p float64, seed uint64, opts BuildOpts) (*Graph, error) {
 		return nil, err
 	}
 	return g.WithName(name), nil
+}
+
+// logOneMinus returns log(1-p) computed stably for the skipping trick.
+func logOneMinus(p float64) float64 {
+	return math.Log1p(-p)
+}
+
+// maxGeometricSkip caps the skip count: large enough to jump past any
+// representable pair range in one step, small enough that a caller's
+// position + 1 + skip can never overflow int. Without the cap, tiny p
+// (lq → 0⁻) makes log(u)/lq exceed the int64 range and the float→int
+// conversion is undefined (on amd64 it wraps negative, which would
+// walk the Batagelj–Brandes cursor backwards forever).
+const maxGeometricSkip = 1 << 62
+
+// skipFromUniform converts a uniform u ∈ (0,1) into a Geometric
+// skip count given lq = log(1-p) < 0, clamped to maxGeometricSkip.
+func skipFromUniform(u, lq float64) int {
+	f := math.Log(u) / lq
+	if f >= maxGeometricSkip {
+		return maxGeometricSkip
+	}
+	return int(f)
+}
+
+// geometricSkipCounter returns a Geometric(p)-distributed skip count
+// (the number of failures before the next success) given
+// lq = log(1-p), drawn from a per-row Philox counter stream.
+func geometricSkipCounter(c *rng.Counter, lq float64) int {
+	u := c.Float64()
+	for u == 0 {
+		u = c.Float64()
+	}
+	return skipFromUniform(u, lq)
 }
 
 // gnpSource emits row v's edges to smaller vertices from the row-keyed
@@ -236,7 +274,8 @@ func (s *gnpSource) ScatterRowsSerial(lo, hi int, fill []int64, adj []int32) {
 }
 
 // ConnectedGnpSeeded draws GnpSeeded repeatedly until the sample is
-// connected, up to maxTries attempts; attempt i builds from
+// connected, up to maxTries attempts (the voting processes are defined
+// on connected graphs); attempt i builds from
 // DeriveSeed(seed, i), so the result is still a pure function of
 // (n, p, seed).
 func ConnectedGnpSeeded(n int, p float64, seed uint64, maxTries int, opts BuildOpts) (*Graph, error) {
@@ -255,11 +294,16 @@ func ConnectedGnpSeeded(n int, p float64, seed uint64, maxTries int, opts BuildO
 // RandomRegularSeeded returns a uniform-ish random d-regular simple
 // graph built from a keyed stream: attempt a of the configuration-
 // model pairing draws from Stream (seed, a), and the paired half-edge
-// table assembles in parallel. The pairing logic is draw-for-draw the
-// legacy tryPairing (shuffle, pair-with-retries, restart when stuck)
-// with the map dedup replaced by a flat n×d neighbour table —
+// table assembles in parallel. d·n half-edges are paired uniformly;
+// pairings creating self-loops or multi-edges are rerolled, and the
+// whole pairing restarts if it gets stuck. For d = o(√n) the result is
+// asymptotically uniform, and random d-regular graphs satisfy
+// λ = O(1/√d) w.h.p. (the paper's second example family). Duplicate
+// pairs are detected in a flat n×d neighbour table —
 // TestRandomRegularSeededPairingEquivalence replays the same stream
 // through a map-based reference to prove the table changes nothing.
+//
+// Requires 0 ≤ d < n and d·n even.
 func RandomRegularSeeded(n, d int, seed uint64, opts BuildOpts) (*Graph, error) {
 	if d < 0 || d >= n {
 		return nil, fmt.Errorf("graph: RandomRegular requires 0 <= d < n, got d=%d n=%d", d, n)
@@ -323,9 +367,9 @@ func (s *regularTableSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
 }
 
 // hasNeighbor reports whether w already appears in v's table row: the
-// O(d) flat-table replacement for the legacy map dedup, which at
-// n = 10⁷ half-edges cost ~1 GB of map overhead against the table's
-// 4·n·d bytes that double as the assembly input.
+// O(d) flat-table dedup. A map keyed by edge would cost ~1 GB of
+// overhead at n = 10⁷ half-edges, against the table's 4·n·d bytes
+// that double as the assembly input.
 func (s *regularTableSource) hasNeighbor(v, w int32) bool {
 	row := s.nbr[int(v)*s.d : int(v)*s.d+int(s.cnt[v])]
 	for _, x := range row {
@@ -345,9 +389,9 @@ func (s *regularTableSource) addEdge(u, v int32) {
 
 // tryPairingTable is one configuration-model pairing attempt driven by
 // the keyed stream, recording edges into src's table. The draw
-// sequence — Fisher–Yates over the stub list, then repeatedly pair the
-// last stub with a random earlier one, retrying conflicts — mirrors
-// tryPairing exactly.
+// sequence is Fisher–Yates over the stub list, then repeatedly pair
+// the last stub with a random earlier one, retrying a conflict up to
+// 4·(stubs left)+16 times before giving up on the attempt.
 func tryPairingTable(n, d int, s *rng.Stream, src *regularTableSource, stubs []int32) bool {
 	stubs = stubs[:0]
 	for v := 0; v < n; v++ {
@@ -384,9 +428,13 @@ func tryPairingTable(n, d int, s *rng.Stream, src *regularTableSource, stubs []i
 }
 
 // WattsStrogatzSeeded returns the small-world graph built from a keyed
-// stream: the ring-lattice slab fills in parallel (edge i's endpoints
-// are arithmetic in i), the rewiring pass replays the legacy
-// sequential scan on Stream (seed, 0), and assembly is parallel.
+// stream: a ring lattice where every vertex connects to its d/2
+// nearest neighbours on each side, with each edge independently
+// rewired to a uniform random non-conflicting endpoint with
+// probability beta. d must be even, 2 ≤ d < n. The lattice slab fills
+// in parallel (edge i's endpoints are arithmetic in i), the rewiring
+// pass scans the edges sequentially on Stream (seed, 0), and assembly
+// is parallel.
 func WattsStrogatzSeeded(n, d int, beta float64, seed uint64, opts BuildOpts) (*Graph, error) {
 	if d%2 != 0 || d < 2 || d >= n {
 		return nil, fmt.Errorf("graph: WattsStrogatz requires even 2 <= d < n, got d=%d n=%d", d, n)
@@ -416,11 +464,14 @@ func WattsStrogatzSeeded(n, d int, beta float64, seed uint64, opts BuildOpts) (*
 	return g.WithName(fmt.Sprintf("wattsStrogatz(n=%d,d=%d,beta=%g)", n, d, beta)), nil
 }
 
-// rewireLattice is the sequential Watts–Strogatz rewiring pass. The
-// legacy builder tracked the full edge set in a map; here lattice
-// membership is arithmetic (ring distance ≤ half), so only the
-// deviations from the lattice — edges removed by rewiring, edges added
-// by it — need hashing.
+// rewireLattice is the sequential Watts–Strogatz rewiring pass: edge
+// i rewires with probability beta, its far endpoint moving to the
+// first of up to 64 uniform targets that is neither endpoint nor
+// already adjacent to the near one. Lattice membership is arithmetic
+// (ring distance ≤ half), so only the deviations from the lattice —
+// edges removed by rewiring, edges added by it — need hashing;
+// TestWattsStrogatzSeededRewireReplay checks this against a full
+// edge-map replay of the same stream.
 func rewireLattice(n, half int, beta float64, seed uint64, edges []Edge) {
 	key := func(u, v int) int64 {
 		if u > v {
@@ -476,7 +527,11 @@ func rewireLattice(n, half int, beta float64, seed uint64, edges []Edge) {
 }
 
 // BarabasiAlbertSeeded returns the preferential-attachment graph built
-// from Stream (seed, 0). Attachment is inherently sequential — each
+// from Stream (seed, 0): starting from a clique on m0 = m+1 vertices,
+// each new vertex attaches to m distinct existing vertices chosen with
+// probability proportional to degree. Heavy-tailed degrees; the
+// canonical irregular test bed for the vertex vs. edge process
+// comparison (E10). Attachment is inherently sequential — each
 // arrival's degree-proportional draws condition on every earlier edge
 // — so sampling is serial (documented here deliberately; do not try to
 // stripe it), and only the CSR assembly of the recorded picks
@@ -505,8 +560,12 @@ func BarabasiAlbertSeeded(n, m int, seed uint64, opts BuildOpts) (*Graph, error)
 			t := targets[int(s.Uint64n(uint64(len(targets))))]
 			chosen[t] = true
 		}
-		// Drain the set in sorted order — the map-iteration determinism
-		// fix from the legacy builder; see BarabasiAlbert.
+		// Drain the set in sorted order: map iteration order is
+		// randomized per range, and the order entries land in targets
+		// feeds back into every later degree-proportional draw, so the
+		// same seed would otherwise build a different graph each run.
+		// Sorting fixes the order without changing the attachment law
+		// (the chosen set is identical; only list layout was random).
 		row = row[:0]
 		for t := range chosen {
 			row = append(row, t)

@@ -3,14 +3,11 @@ package graph
 import (
 	"math"
 	"testing"
-
-	"div/internal/rng"
 )
 
 func TestGnpEdgeCount(t *testing.T) {
-	r := rng.New(1)
 	const n, p = 400, 0.05
-	g, err := Gnp(n, p, r)
+	g, err := GnpSeeded(n, p, 1, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +22,11 @@ func TestGnpEdgeCount(t *testing.T) {
 }
 
 func TestGnpEdgeProbabilityPerPair(t *testing.T) {
-	// Each fixed pair should appear with probability ≈ p across samples.
-	r := rng.New(2)
+	// Each fixed pair should appear with probability ≈ p across seeds.
 	const n, p, samples = 12, 0.3, 4000
 	count := 0
 	for i := 0; i < samples; i++ {
-		g, err := Gnp(n, p, r)
+		g, err := GnpSeeded(n, p, uint64(i), BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,33 +41,31 @@ func TestGnpEdgeProbabilityPerPair(t *testing.T) {
 }
 
 func TestGnpExtremes(t *testing.T) {
-	r := rng.New(3)
-	g0, err := Gnp(10, 0, r)
+	g0, err := GnpSeeded(10, 0, 3, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g0.M() != 0 {
 		t.Errorf("G(10,0) has %d edges", g0.M())
 	}
-	g1, err := Gnp(10, 1, r)
+	g1, err := GnpSeeded(10, 1, 3, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g1.M() != 45 {
 		t.Errorf("G(10,1) has %d edges, want 45", g1.M())
 	}
-	if _, err := Gnp(10, 1.5, r); err == nil {
+	if _, err := GnpSeeded(10, 1.5, 3, BuildOpts{}); err == nil {
 		t.Error("Gnp accepted p > 1")
 	}
-	if _, err := Gnp(10, -0.1, r); err == nil {
+	if _, err := GnpSeeded(10, -0.1, 3, BuildOpts{}); err == nil {
 		t.Error("Gnp accepted p < 0")
 	}
 }
 
 func TestRandomRegular(t *testing.T) {
-	r := rng.New(4)
 	for _, tc := range []struct{ n, d int }{{10, 3}, {50, 4}, {100, 7}, {64, 16}, {8, 2}} {
-		g, err := RandomRegular(tc.n, tc.d, r)
+		g, err := RandomRegularSeeded(tc.n, tc.d, 4, BuildOpts{})
 		if err != nil {
 			t.Fatalf("RandomRegular(%d,%d): %v", tc.n, tc.d, err)
 		}
@@ -87,17 +81,16 @@ func TestRandomRegular(t *testing.T) {
 }
 
 func TestRandomRegularErrors(t *testing.T) {
-	r := rng.New(5)
-	if _, err := RandomRegular(5, 3, r); err == nil {
+	if _, err := RandomRegularSeeded(5, 3, 5, BuildOpts{}); err == nil {
 		t.Error("odd n*d accepted")
 	}
-	if _, err := RandomRegular(4, 4, r); err == nil {
+	if _, err := RandomRegularSeeded(4, 4, 5, BuildOpts{}); err == nil {
 		t.Error("d >= n accepted")
 	}
-	if _, err := RandomRegular(4, -1, r); err == nil {
+	if _, err := RandomRegularSeeded(4, -1, 5, BuildOpts{}); err == nil {
 		t.Error("negative d accepted")
 	}
-	g, err := RandomRegular(5, 0, r)
+	g, err := RandomRegularSeeded(5, 0, 5, BuildOpts{})
 	if err != nil || g.M() != 0 {
 		t.Errorf("RandomRegular(5,0) = %v, %v", g, err)
 	}
@@ -106,10 +99,9 @@ func TestRandomRegularErrors(t *testing.T) {
 func TestRandomRegularConnectedWhp(t *testing.T) {
 	// Random 3-regular graphs are connected w.h.p.; at n=100 a
 	// disconnected sample over 20 draws would be extraordinary.
-	r := rng.New(6)
 	connected := 0
 	for i := 0; i < 20; i++ {
-		g, err := RandomRegular(100, 3, r)
+		g, err := RandomRegularSeeded(100, 3, uint64(6+i), BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +115,7 @@ func TestRandomRegularConnectedWhp(t *testing.T) {
 }
 
 func TestWattsStrogatz(t *testing.T) {
-	r := rng.New(7)
-	g, err := WattsStrogatz(200, 6, 0.1, r)
+	g, err := WattsStrogatzSeeded(200, 6, 0.1, 7, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +126,7 @@ func TestWattsStrogatz(t *testing.T) {
 		t.Errorf("WS(200,6) has %d edges, want 600", g.M())
 	}
 	// beta = 0 is the pure ring lattice.
-	ring, err := WattsStrogatz(50, 4, 0, r)
+	ring, err := WattsStrogatzSeeded(50, 4, 0, 7, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,18 +140,16 @@ func TestWattsStrogatz(t *testing.T) {
 }
 
 func TestWattsStrogatzErrors(t *testing.T) {
-	r := rng.New(8)
-	if _, err := WattsStrogatz(10, 3, 0.1, r); err == nil {
+	if _, err := WattsStrogatzSeeded(10, 3, 0.1, 8, BuildOpts{}); err == nil {
 		t.Error("odd d accepted")
 	}
-	if _, err := WattsStrogatz(10, 4, 1.5, r); err == nil {
+	if _, err := WattsStrogatzSeeded(10, 4, 1.5, 8, BuildOpts{}); err == nil {
 		t.Error("beta > 1 accepted")
 	}
 }
 
 func TestBarabasiAlbert(t *testing.T) {
-	r := rng.New(9)
-	g, err := BarabasiAlbert(300, 3, r)
+	g, err := BarabasiAlbertSeeded(300, 3, 9, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +168,13 @@ func TestBarabasiAlbert(t *testing.T) {
 	if g.MaxDegree() < 10 {
 		t.Errorf("BA max degree %d suspiciously small", g.MaxDegree())
 	}
-	if _, err := BarabasiAlbert(3, 5, r); err == nil {
+	if _, err := BarabasiAlbertSeeded(3, 5, 9, BuildOpts{}); err == nil {
 		t.Error("BA with m >= n accepted")
 	}
 }
 
 func TestConnectedGnp(t *testing.T) {
-	r := rng.New(10)
-	g, err := ConnectedGnp(100, 0.08, r, 50)
+	g, err := ConnectedGnpSeeded(100, 0.08, 10, 50, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +182,17 @@ func TestConnectedGnp(t *testing.T) {
 		t.Error("ConnectedGnp returned disconnected graph")
 	}
 	// Hopeless density must error out rather than loop forever.
-	if _, err := ConnectedGnp(100, 0.001, r, 3); err == nil {
+	if _, err := ConnectedGnpSeeded(100, 0.001, 10, 3, BuildOpts{}); err == nil {
 		t.Error("ConnectedGnp at hopeless density succeeded")
 	}
 }
 
 func TestRandomBuildersDeterministic(t *testing.T) {
-	g1, err := RandomRegular(60, 4, rng.New(42))
+	g1, err := RandomRegularSeeded(60, 4, 42, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := RandomRegular(60, 4, rng.New(42))
+	g2, err := RandomRegularSeeded(60, 4, 42, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,11 +130,11 @@ func TestCheegerSweepFindsBarbellBottleneck(t *testing.T) {
 // construction guarantees meets the right-hand side).
 func TestCheegerInequalities(t *testing.T) {
 	r := rng.New(51)
-	reg, err := graph.RandomRegular(120, 6, r)
+	reg, err := graph.RandomRegularSeeded(120, 6, r.Uint64(), graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gnp, err := graph.ConnectedGnp(100, 0.1, r, 200)
+	gnp, err := graph.ConnectedGnpSeeded(100, 0.1, r.Uint64(), 200, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCheegerInequalities(t *testing.T) {
 func TestSecondEigenMatchesOracle(t *testing.T) {
 	// λ₂ (signed) from the sparse routine vs the dense spectrum.
 	r := rng.New(52)
-	gnp, err := graph.ConnectedGnp(50, 0.2, r, 200)
+	gnp, err := graph.ConnectedGnpSeeded(50, 0.2, r.Uint64(), 200, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestHittingTimeTimeout(t *testing.T) {
 // vertex sets on expanders, |Q(S,U) − π(S)π(U)| stays below the bound.
 func TestExpanderMixingLemma(t *testing.T) {
 	r := rng.New(9)
-	g, err := graph.RandomRegular(200, 12, r)
+	g, err := graph.RandomRegularSeeded(200, 12, r.Uint64(), graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestExpanderMixingLemma(t *testing.T) {
 func TestErgodicFlowSymmetry(t *testing.T) {
 	// Detailed balance: Q(S,U) = Q(U,S) for any sets.
 	r := rng.New(10)
-	g, err := graph.ConnectedGnp(60, 0.15, r, 100)
+	g, err := graph.ConnectedGnpSeeded(60, 0.15, r.Uint64(), 100, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,11 @@ type Probe interface {
 	Done(d Done)
 }
 
-// Engine regime labels used in events. They match core.Engine's naive
-// and fast strings; the hybrid engine attributes each batch to the
-// regime that executed it.
+// Engine regime labels used in events. RegimeNaive and RegimeFast match
+// core.Engine's naive and fast strings and label core.Run's sequential
+// loops, where RegimeFast is the discordance engine (core/sparse.go);
+// the hybrid engine attributes each batch to the regime that executed
+// it.
 const (
 	RegimeNaive = "naive"
 	RegimeFast  = "fast"
@@ -43,10 +45,10 @@ const (
 	// kernel (core/block.go): naive-law stepping, interleaved across a
 	// block of trials and flushed at chunk granularity.
 	RegimeBlock = "block"
-	// RegimeSparse labels step batches executed by the sparse endgame
-	// engine (core/sparse.go): skip-sampled stepping over the
-	// O(discordance) discordant-vertex set on implicit or compact
-	// backends.
+	// RegimeSparse labels step batches executed by the discordance
+	// engine (core/sparse.go) after a blocked-kernel hand-off:
+	// skip-sampled stepping over the O(discordance) discordant-vertex
+	// set, on every backend (CSR, implicit, compact).
 	RegimeSparse = "sparse"
 )
 
@@ -71,7 +73,7 @@ const (
 type StepBatch struct {
 	FromStep int64  `json:"from"`
 	ToStep   int64  `json:"to"`
-	Engine   string `json:"engine"` // RegimeNaive or RegimeFast
+	Engine   string `json:"engine"` // RegimeNaive, RegimeFast, RegimeBlock or RegimeSparse
 	Active   int64  `json:"active"`
 	Idle     int64  `json:"idle,omitempty"`
 	Skipped  int64  `json:"skipped,omitempty"`

@@ -1,7 +1,7 @@
 // Package sim is the experiment harness: it fans Monte-Carlo trials
 // across a worker pool with deterministic per-trial seeds, aggregates
 // results, and renders the tables that regenerate the paper's claims
-// (see DESIGN.md §3 for the experiment index E1–E20).
+// (see DESIGN.md §3 for the experiment index E1–E19).
 package sim
 
 import (

@@ -155,12 +155,11 @@ func TestLambdaExactClosedForms(t *testing.T) {
 }
 
 func TestLambdaSparseMatchesExact(t *testing.T) {
-	r := rng.New(7)
-	gnp, err := graph.ConnectedGnp(60, 0.15, r, 100)
+	gnp, err := graph.ConnectedGnpSeeded(60, 0.15, 7, 100, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := graph.RandomRegular(50, 6, r)
+	reg, err := graph.RandomRegularSeeded(50, 6, 7, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +264,7 @@ func TestLambdaErrors(t *testing.T) {
 func TestLambdaRandomRegularNearBound(t *testing.T) {
 	// λ of a random d-regular graph should be near 2√(d-1)/d and far
 	// below 1.
-	r := rng.New(8)
-	g, err := graph.RandomRegular(400, 8, r)
+	g, err := graph.RandomRegularSeeded(400, 8, 8, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +282,7 @@ func TestLambdaRandomRegularNearBound(t *testing.T) {
 }
 
 func TestLambdaGnpNearBound(t *testing.T) {
-	r := rng.New(9)
-	g, err := graph.ConnectedGnp(500, 0.05, r, 100)
+	g, err := graph.ConnectedGnpSeeded(500, 0.05, 9, 100, graph.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Regenerates results/observability.txt: a traced E20-style dissenter
+# Regenerates results/observability.txt: a traced final-stage dissenter
 # run (regular:10000,8, 20 dissenters, hybrid engine) showing the
 # engine-switch timeline, the discordance trajectory, and the metrics
 # snapshot. Also asserts the trace is byte-identical across two
@@ -30,7 +30,7 @@ go run ./cmd/divsim -graph regular:4000,8 -k 5 -seed 3 -engine auto \
     -trace "$TMP/k5.jsonl" >/dev/null
 
 {
-    echo "# Observability artifact: traced E20-style dissenter run"
+    echo "# Observability artifact: traced final-stage dissenter run"
     echo "#"
     echo "# Command: divsim -graph regular:10000,8 -dissenters 20 -seed 1 -engine auto -trace run.jsonl -metrics"
     echo "# Regenerate: make trace-artifact (or scripts/trace_artifact.sh)"
