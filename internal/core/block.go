@@ -357,8 +357,9 @@ func (a *blockArena) grow(bn int, compact bool) {
 }
 
 // sparseFor returns the arena's shared SparseState for proc, rebound
-// to s and reseeded against its current opinions (the O(n + n_off·d̄)
-// seeding of a hand-off; see SparseState.Seed). One per process, lent
+// to s and reseeded against its current opinions: a hand-off's seeding
+// costs one read of the opinion row plus O(old members + n/64 +
+// n_off·d̄) (see SparseState.Seed). One per process, lent
 // to whichever trial is stepping under the discordance engine; that
 // trial finishes or bounces back before any other can need it.
 func (a *blockArena) sparseFor(s *State, proc Process) (*SparseState, error) {
@@ -1328,8 +1329,9 @@ func (b *blockRun) chunkGeneric(row *blockRow) {
 }
 
 // handoffSparse moves row from the blocked loop to the discordance
-// engine: seed the arena's shared set in O(n + n_off·d̄) (see
-// SparseState.Seed) and continue the trial under skip-sampling. Under
+// engine: seed the arena's shared set — one read of the opinion row
+// plus O(old members + n/64 + n_off·d̄), see SparseState.Seed — and
+// continue the trial under skip-sampling. Under
 // EngineAuto the exact mass vetoes noisy triggers first (as hybridLoop
 // does): if discordance is still above the exit threshold the row
 // bounces back to blocked stepping with an exponentially growing

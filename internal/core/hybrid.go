@@ -40,7 +40,8 @@ import "div/internal/obs"
 // maintains. Because the minority-size random walk of a final stage
 // re-crosses any fixed threshold many times, two further guards keep
 // transition costs amortized: the SparseState is built once and
-// re-entered via an O(n + n_off·d̄) Seed (its arrays are reused), and
+// re-entered via a Seed that reads the opinion row once and otherwise
+// costs O(old members + n/64 + n_off·d̄) (its arrays are reused), and
 // each fast→naive exit starts an exponentially growing cooldown (1, 2,
 // 4, … windows, capped) before the next entry is considered. On dense
 // graphs (K_n: d̄ ≈ n) the thresholds become correspondingly extreme,

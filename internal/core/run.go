@@ -32,7 +32,8 @@ const (
 type Config struct {
 	// Graph is the (connected) interaction graph. Required.
 	Graph *graph.Graph
-	// Initial is the initial opinion per vertex. Required.
+	// Initial is the initial opinion per vertex. Required. Opinions
+	// must fit in int32, within a window of at most 2²² values.
 	Initial []int
 	// Process is the scheduler (vertex or edge). Default VertexProcess.
 	Process Process

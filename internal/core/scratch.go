@@ -121,7 +121,9 @@ func (sc *Scratch) blockArenaFor(t graph.Topology) (*blockArena, error) {
 // proc, seeded against s's current opinions: the single construction
 // funnel for the sequential fast and hybrid loops. With a scratch the
 // state comes from (and stays in) the scratch's arena, so repeated
-// trials reseed one O(n) position index instead of allocating it.
+// trials reuse its O(n) position index: a reseeding clears only the
+// previous members' entries and reads the opinion row once, instead of
+// allocating and filling the index.
 func sparseFor(sc *Scratch, s *State, proc Process) (*SparseState, error) {
 	if sc == nil || s != sc.state {
 		return NewSparseState(s, proc)

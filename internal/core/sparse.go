@@ -37,8 +37,10 @@ import (
 //	lists [][]member  the members, filed by sampler bucket (see below)
 //	pos   []int32     pos[v] = slot of v in its bucket's list, or -1
 //
-// pos is O(n) (4 bytes/vertex); the lists are O(D_t), the live
-// discordance. An opinion update at v can only change the counts over
+// pos is O(n) (4 bytes/vertex), plus Seed's touched bitmap (one bit per
+// vertex); the lists are O(D_t), the live discordance. Seeding does not
+// rescan pos: it clears only the previous members' entries (see Seed).
+// An opinion update at v can only change the counts over
 // {v} ∪ N(v), so SetOpinion repairs the set with one O(d(v))
 // neighbourhood walk. When the topology is a *graph.Graph and the state
 // holds int32 opinions, the walks read the CSR offsets and adjacency
@@ -93,7 +95,8 @@ var (
 	// discordance engine (including EngineFast-at-start retirements).
 	sparseHandoffsTotal = obs.Default.Counter("core_sparse_handoffs_total")
 	// sparseSetPeak is the high-water mark, in bytes, of the engine's
-	// working set (pos + member lists) across all runs.
+	// working set (pos, the touched bitmap and the member lists) across
+	// all runs.
 	sparseSetPeak = obs.Default.Gauge("sparse_set_peak")
 	// sparseSessionTimer times each blocked hand-off session (hand-off
 	// to exit) into the span_core_sparse_step_nanos histogram, making
@@ -123,6 +126,9 @@ type SparseState struct {
 
 	lists [][]member // members by sampler bucket (see the file comment)
 	pos   []int32    // pos[v] = slot of v in its bucket's list, or -1
+	// touched marks, one bit per vertex, the vertices whose pos Seed's
+	// walk moved off −1; all zero between seedings.
+	touched []uint64
 	// fixed is the one list every member is filed in when the bucket
 	// does not depend on the degree (a regular topology, or the vertex
 	// process), and -1 when members are filed by vb[v] = ⌈log2 d(v)⌉
@@ -141,12 +147,14 @@ type SparseState struct {
 	countFn func() int64 // O(1) count for State.DiscordantEdges
 }
 
-// NewSparseState builds the discordant-vertex set for s under proc. A
-// regular topology needs no degree pass; otherwise one O(n) pass files
-// every vertex's bucket (edge process) or finds the degree lcm (vertex
-// process), then Seed fills the set in O(n + n_off·d̄). It errors
-// when the vertex process's degree-lcm scaling would overflow (wildly
-// irregular degree sequences); callers fall back to naive stepping.
+// NewSparseState builds the discordant-vertex set for s under proc. It
+// allocates the O(n) position index, filled with −1 once here and kept
+// that way between seedings, and an n/64-word touched bitmap. A regular
+// topology needs no degree pass; otherwise one O(n) pass files every
+// vertex's bucket (edge process) or finds the degree lcm (vertex
+// process). Seed then fills the set. It errors when the vertex
+// process's degree-lcm scaling would overflow (wildly irregular degree
+// sequences); callers fall back to naive stepping.
 func NewSparseState(s *State, proc Process) (*SparseState, error) {
 	if proc != VertexProcess && proc != EdgeProcess {
 		return nil, fmt.Errorf("core: unknown process %v", proc)
@@ -158,10 +166,14 @@ func NewSparseState(s *State, proc Process) (*SparseState, error) {
 		return nil, fmt.Errorf("core: fast engine requires min degree >= 1")
 	}
 	sp := &SparseState{
-		s:    s,
-		topo: topo,
-		pos:  make([]int32, n),
-		den:  topo.DegreeSum(),
+		s:       s,
+		topo:    topo,
+		pos:     make([]int32, n),
+		touched: make([]uint64, (n+63)/64),
+		den:     topo.DegreeSum(),
+	}
+	for v := range sp.pos {
+		sp.pos[v] = -1
 	}
 	sp.bind(s)
 	switch {
@@ -274,33 +286,67 @@ func (sp *SparseState) countDiscordant(v int) int32 {
 }
 
 // Seed rebuilds the set against the wrapped State's current opinions,
-// reusing every array, in O(n + n_off·d̄): n_off is the number of
-// vertices off the opinion xm that dominant picks, and d̄ their mean
-// degree. Every discordant arc has an endpoint off xm, so one walk over
-// those vertices finds them all: each counts its own discordant arcs
-// and adds one to the count of each neighbour holding xm, accumulated
-// in pos as −1−count. One ascending pass over pos then files the
-// members in vertex order (insert overwrites their −1−count; every
-// other entry is already −1), exactly the lists a walk over every
-// vertex builds. With no dominant opinion xm is held by no vertex, so
-// the same walk visits every vertex and is the full enumeration.
+// reusing every array, and files the members in ascending vertex order:
+// exactly the lists a walk over every vertex builds.
+//
+// With an opinion xm that dominant picks, it reads the opinion row once
+// and otherwise costs O(old members + n/64 + n_off·d̄), n_off being the
+// number of vertices off xm and d̄ their mean degree. Between seedings
+// every non-member's pos is −1, so clearing the previous members'
+// entries restores an all −1 index. Every discordant arc has an
+// endpoint off xm, so one walk over those vertices finds them all: each
+// counts its own discordant arcs and adds one to the count of each
+// neighbour holding xm, accumulated in pos as −1−count, and marks in
+// touched every vertex whose count it set. The members are then filed
+// from the touched bitmap (insert overwrites their −1−count), which is
+// cleared as it is read.
+//
+// With no dominant opinion the walk visits every vertex, so Seed resets
+// each vertex's pos and files it as the ascending walk counts it, in
+// O(n·d̄), with no list clear, mark or second filing pass: those cost
+// about a tenth more on CSR rr(10⁶, 8) uniform profiles (DESIGN.md §6).
 func (sp *SparseState) Seed() {
-	for b := range sp.lists {
-		sp.lists[b] = sp.lists[b][:0]
+	pos := sp.pos
+	xm, ok := sp.dominant()
+	for b, l := range sp.lists {
+		if ok {
+			for _, m := range l {
+				pos[m.v] = -1
+			}
+		}
+		sp.lists[b] = l[:0]
 	}
 	sp.num, sp.sumDiff, sp.envelope = 0, 0, 0
-	pos := sp.pos
-	xm := sp.dominant()
-	for v := range pos {
-		pos[v] = -1
-	}
-	for v := range pos {
-		if sp.x(v) != xm {
-			pos[v] = -1 - sp.seedCount(v, xm)
+	switch s := sp.s; {
+	case !ok:
+		for v := range pos {
+			pos[v] = -1
+			if c := sp.countDiscordant(v); c > 0 {
+				sp.addMass(v, c)
+				sp.insert(v, c)
+			}
+		}
+	case s.opb != nil:
+		for v, x := range s.opb {
+			if int32(x) != xm {
+				sp.seedVertex(v, xm)
+			}
+		}
+	default:
+		for v, x := range s.opinions {
+			if x != xm {
+				sp.seedVertex(v, xm)
+			}
 		}
 	}
-	for v, p := range pos {
-		if c := -1 - p; c > 0 {
+	for i, word := range sp.touched {
+		if word == 0 {
+			continue
+		}
+		sp.touched[i] = 0
+		for ; word != 0; word &= word - 1 {
+			v := i<<6 | bits.TrailingZeros64(word)
+			c := -1 - pos[v]
 			sp.addMass(v, c)
 			sp.insert(v, c)
 		}
@@ -309,9 +355,22 @@ func (sp *SparseState) Seed() {
 	sparseCheckInvariants(sp)
 }
 
+// touch marks v in the touched bitmap.
+func (sp *SparseState) touch(v int) { sp.touched[v>>6] |= 1 << (v & 63) }
+
+// seedVertex records the discordant-arc count of v, a vertex off xm,
+// in pos, marking v when the count is positive; seedCount adds v's
+// arcs to its neighbours on xm.
+func (sp *SparseState) seedVertex(v int, xm int32) {
+	if c := sp.seedCount(v, xm); c > 0 {
+		sp.pos[v] = -1 - c
+		sp.touch(v)
+	}
+}
+
 // seedCount returns v's discordant-arc count, as countDiscordant does,
 // and adds one to the count Seed accumulates in pos for each neighbour
-// holding xm.
+// holding xm, marking it.
 func (sp *SparseState) seedCount(v int, xm int32) int32 {
 	c := int32(0)
 	pos := sp.pos
@@ -325,6 +384,7 @@ func (sp *SparseState) seedCount(v int, xm int32) int32 {
 			}
 			if xw == xm {
 				pos[w]--
+				sp.touch(int(w))
 			}
 		}
 		return c
@@ -338,28 +398,28 @@ func (sp *SparseState) seedCount(v int, xm int32) int32 {
 		}
 		if xw == xm {
 			pos[w]--
+			sp.touch(w)
 		}
 	}
 	return c
 }
 
 // dominant returns the opinion Seed's walk skips, in the live
-// representation: the plurality when it holds at least 3/4 of the
-// vertices, otherwise the value just below the opinion window (−1
-// compact, base−1 int32), which no vertex holds. On CSR rr(10⁶, 8) the
-// skipping walk lost to the full walk at a share of 0.7 and won at 3/4:
-// below the crossover its scattered pos updates cost more than the
-// walks they save (DESIGN.md §6).
-func (sp *SparseState) dominant() int32 {
+// representation, and true, when the plurality holds at least 3/4 of
+// the vertices; otherwise false. On CSR rr(10⁶, 8) the skipping walk
+// lost to the full walk at a share of 0.7 and won at 3/4: below the
+// crossover its scattered pos updates cost more than the walks they
+// save (DESIGN.md §6).
+func (sp *SparseState) dominant() (int32, bool) {
 	s := sp.s
 	i, c := s.plurality()
 	if 4*c < 3*int64(s.N()) {
-		i = -1
+		return 0, false
 	}
 	if s.opb != nil {
-		return int32(i)
+		return int32(i), true
 	}
-	return s.base + int32(i)
+	return s.base + int32(i), true
 }
 
 // rebind repoints the set at another State over the same topology. The
@@ -409,10 +469,10 @@ func (sp *SparseState) Members() int {
 }
 
 // MemBytes returns the set's current working-set footprint: the O(n)
-// position index (plus the bucket bytes of the irregular edge process)
-// and the O(D) member lists.
+// position index and touched bitmap (plus the bucket bytes of the
+// irregular edge process) and the O(D) member lists.
 func (sp *SparseState) MemBytes() int64 {
-	b := 4*int64(len(sp.pos)) + int64(len(sp.vb)) + 4*int64(cap(sp.nbuf))
+	b := 4*int64(len(sp.pos)) + 8*int64(len(sp.touched)) + int64(len(sp.vb)) + 4*int64(cap(sp.nbuf))
 	for _, l := range sp.lists {
 		b += 8 * int64(cap(l))
 	}
@@ -654,10 +714,12 @@ func (sp *SparseState) flushDraws() {
 // CheckSparse re-derives the discordant-vertex set from scratch and
 // returns an error describing the first inconsistency with the
 // incrementally maintained one: membership ⇔ diff > 0, per-member arc
-// counts and buckets, the position index, and the exact mass
-// aggregates. The divtestinvariants build tag arranges for this to run
-// after every opinion update (fast_invariants_on.go); the fuzz targets
-// and unit tests also call it directly.
+// counts and buckets, the position index (exactly −1 for every
+// non-member, which Seed relies on), an all-zero touched bitmap, and
+// the exact mass aggregates. The divtestinvariants build tag arranges
+// for this to run after every opinion update and every seeding
+// (fast_invariants_on.go); the fuzz targets and unit tests also call
+// it directly.
 func (sp *SparseState) CheckSparse() error {
 	n := sp.topo.N()
 	var num, sumDiff, envelope int64
@@ -669,6 +731,9 @@ func (sp *SparseState) CheckSparse() error {
 			return fmt.Errorf("core: vertex %d listed=%v, want diff=%d", v, slot >= 0, c)
 		}
 		if c == 0 {
+			if slot != -1 {
+				return fmt.Errorf("core: non-member %d has pos %d, want -1", v, slot)
+			}
 			continue
 		}
 		b := sp.bucket(v)
@@ -687,6 +752,11 @@ func (sp *SparseState) CheckSparse() error {
 	}
 	if got := sp.Members(); got != members {
 		return fmt.Errorf("core: sparse set has %d members, want %d", got, members)
+	}
+	for i, word := range sp.touched {
+		if word != 0 {
+			return fmt.Errorf("core: touched bitmap word %d is %#x between seedings, want 0", i, word)
+		}
 	}
 	if sumDiff != sp.sumDiff {
 		return fmt.Errorf("core: sparse Σdiff=%d, recomputed %d", sp.sumDiff, sumDiff)

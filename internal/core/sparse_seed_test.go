@@ -251,6 +251,40 @@ func TestSparseSeedMatchesFullEnumeration(t *testing.T) {
 	}
 }
 
+// TestCheckSparseCatchesSeedLeaks pins the two between-seedings
+// invariants Seed relies on: a non-member's pos left at anything but −1
+// (a −1−count that was never filed) and a touched bit left set must
+// each fail CheckSparse, so the invariants build and FuzzSparseSet
+// catch a seeding that leaks either.
+func TestCheckSparseCatchesSeedLeaks(t *testing.T) {
+	h, err := graph.NewHashedRegular(64, 4, 0x5eed9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := make([]int, h.N())
+	op[5] = 1
+	sp, err := NewSparseState(newTopoState(t, h, false, op), VertexProcess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.CheckSparse(); err != nil {
+		t.Fatal(err)
+	}
+	v := 63
+	for sp.pos[v] >= 0 {
+		v--
+	}
+	sp.pos[v] = -2
+	if sp.CheckSparse() == nil {
+		t.Errorf("non-member %d with pos -2 passed CheckSparse", v)
+	}
+	sp.pos[v] = -1
+	sp.touch(v)
+	if sp.CheckSparse() == nil {
+		t.Errorf("touched bit %d left set passed CheckSparse", v)
+	}
+}
+
 // countingTopology counts the Neighbor calls made on the topology it
 // wraps.
 type countingTopology struct {
@@ -301,51 +335,6 @@ func TestSparseSeedNeighborCalls(t *testing.T) {
 			if topo.calls != 0 {
 				t.Errorf("%v/compact=%v: Seed at consensus made %d Neighbor calls, want 0", proc, compact, topo.calls)
 			}
-		}
-	}
-}
-
-// BenchmarkSparseSeed times one Seed at n = 10⁶, d = 8: on CSR
-// rr(10⁶, 8) with int32 opinions and on HashedRegular(10⁶, 8) with
-// compact opinions, for 64 evenly spaced dissenters on a dominant
-// opinion and for uniform k = 2 and k = 8, where no opinion is
-// dominant. DESIGN.md §6 compares these cases with the old full walk.
-func BenchmarkSparseSeed(b *testing.B) {
-	const n, d = 1_000_000, 8
-	rr, err := graph.RandomRegularSeeded(n, d, 0x5eed5, graph.BuildOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hashed, err := graph.NewHashedRegular(n, d, 0x5eed6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op := make([]int, n)
-	for _, backend := range []struct {
-		name    string
-		topo    graph.Topology
-		compact bool
-	}{{"csr-int32", rr, false}, {"hashed-compact", hashed, true}} {
-		for _, p := range []seedProfile{
-			{"dissenters64", func(dst []int, _ *rand.Rand) {
-				for v := range dst {
-					dst[v] = 1 + b2i(v%(n/64) == 0)
-				}
-			}},
-			{"uniform2", func(dst []int, r *rand.Rand) { UniformOpinionsInto(dst, 2, r) }},
-			{"uniform8", func(dst []int, r *rand.Rand) { UniformOpinionsInto(dst, 8, r) }},
-		} {
-			b.Run(backend.name+"/"+p.name, func(b *testing.B) {
-				p.fill(op, rng.New(0x5eed7))
-				sp, err := NewSparseState(newTopoState(b, backend.topo, backend.compact, op), VertexProcess)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sp.Seed()
-				}
-			})
 		}
 	}
 }

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"div/internal/graph"
 )
@@ -75,27 +76,35 @@ func NewState(g *graph.Graph, initial []int) (*State, error) {
 // behind per-worker Scratch reuse. Step counters, the support version,
 // and any engine-attached discordance index are cleared; after ResetTo
 // the state is indistinguishable from a freshly constructed one.
+// Opinions must fit in int32.
+//
+// It reads initial twice — once for the window, once to write the
+// opinion row and count it — and makes no other O(n) pass: the sums
+// follow from the counts, and on a regular topology the degree masses
+// too. An irregular topology adds one pass for the degree masses,
+// reading degrees from the CSR offsets when they exist.
 func (s *State) ResetTo(initial []int) error {
-	n := s.Topology().N()
+	topo := s.Topology()
+	n := topo.N()
 	if n == 0 {
 		return fmt.Errorf("core: empty graph")
 	}
 	if len(initial) != n {
 		return fmt.Errorf("core: %d initial opinions for %d vertices", len(initial), n)
 	}
-	min, max := initial[0], initial[0]
+	lo, hi := initial[0], initial[0]
 	for _, x := range initial {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
+		lo = min(lo, x)
+		hi = max(hi, x)
 	}
-	width := max - min + 1
-	if width > 1<<22 {
-		return fmt.Errorf("core: opinion range %d too wide", width)
+	if lo < math.MinInt32 || hi > math.MaxInt32 {
+		return fmt.Errorf("core: opinions [%d, %d] outside the int32 range", lo, hi)
 	}
+	width64 := int64(hi) - int64(lo) + 1
+	if width64 > 1<<22 {
+		return fmt.Errorf("core: opinion range %d too wide", width64)
+	}
+	width := int(width64)
 	if s.opb != nil && width > 256 {
 		return fmt.Errorf("core: opinion range %d too wide for the compact byte representation (max 256)", width)
 	}
@@ -111,30 +120,41 @@ func (s *State) ResetTo(initial []int) error {
 		clear(s.counts)
 		clear(s.degMass)
 	}
-	s.base = int32(min)
+	s.base = int32(lo)
 	s.minIdx, s.maxIdx = 0, width-1
 	s.sum, s.degSum, s.steps = 0, 0, 0
 	s.support, s.supVer = 0, 0
 	s.discordFn = nil
-	for v, x := range initial {
-		i := x - min
-		if s.opb != nil {
-			s.opb[v] = uint8(i)
-		} else {
-			s.opinions[v] = int32(x)
+	switch {
+	case s.opb != nil:
+		fillNarrow(s.opb, initial, lo, lo, s.counts)
+	case width <= 256:
+		fillNarrow(s.opinions, initial, 0, lo, s.counts)
+	default:
+		op := s.opinions[:n]
+		for v, x := range initial {
+			op[v] = int32(x)
+			s.counts[x-lo]++
 		}
-		var d int64
-		if s.g != nil {
-			d = int64(s.g.Degree(v))
-		} else {
-			d = int64(s.topo.Degree(v))
-		}
-		s.counts[i]++
-		s.degMass[i] += d
-		s.sum += int64(x)
-		s.degSum += d * int64(x)
 	}
-	for _, c := range s.counts {
+	if d := int64(topo.MinDegree()); topo.DegreeSum() == int64(n)*d {
+		for i, c := range s.counts {
+			s.degMass[i] = d * c
+		}
+	} else if s.g != nil {
+		off := s.g.Offsets()
+		for v, x := range initial {
+			s.degMass[x-lo] += off[v+1] - off[v]
+		}
+	} else {
+		for v, x := range initial {
+			s.degMass[x-lo] += int64(s.topo.Degree(v))
+		}
+	}
+	for i, c := range s.counts {
+		x := int64(lo) + int64(i)
+		s.sum += x * c
+		s.degSum += x * s.degMass[i]
 		if c > 0 {
 			s.support++
 		}
@@ -147,6 +167,34 @@ func (s *State) ResetTo(initial []int) error {
 		s.maxIdx--
 	}
 	return nil
+}
+
+// fillNarrow writes row[v] = initial[v] − off and adds each opinion's
+// vertex count to counts (indexed by opinion − lo), for a window of at
+// most 256 opinions. Consecutive vertices count into four interleaved
+// partial histograms, so a run of equal opinions — a dominant profile —
+// is four independent increment chains rather than one chain through a
+// single memory cell.
+func fillNarrow[T uint8 | int32](row []T, initial []int, off, lo int, counts []int64) {
+	var part [4][256]uint32
+	row = row[:len(initial)]
+	v := 0
+	for ; v+4 <= len(initial); v += 4 {
+		x := initial[v : v+4 : v+4]
+		part[0][uint8(x[0]-lo)]++
+		part[1][uint8(x[1]-lo)]++
+		part[2][uint8(x[2]-lo)]++
+		part[3][uint8(x[3]-lo)]++
+		r := row[v : v+4 : v+4]
+		r[0], r[1], r[2], r[3] = T(x[0]-off), T(x[1]-off), T(x[2]-off), T(x[3]-off)
+	}
+	for ; v < len(initial); v++ {
+		part[0][uint8(initial[v]-lo)]++
+		row[v] = T(initial[v] - off)
+	}
+	for i := range counts {
+		counts[i] += int64(part[0][i]) + int64(part[1][i]) + int64(part[2][i]) + int64(part[3][i])
+	}
 }
 
 // MustState is NewState that panics on error.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +65,39 @@ func TestNewStateErrors(t *testing.T) {
 	}
 	if _, err := NewState(g, []int{0, 1 << 23, 5}); err == nil {
 		t.Error("absurd range accepted")
+	}
+	// Opinions outside int32 are rejected before the window is
+	// measured: narrowed, they would wrap (3e9 reads as −1294967296),
+	// and MaxInt64 − MinInt64 overflows the width.
+	c4 := graph.Cycle(4)
+	for _, op := range [][]int{
+		{3e9, 3e9 + 1, 3e9, 3e9 + 1},
+		{1 << 31, 1<<31 - 1, 1 << 31, 1<<31 - 1},
+		{math.MinInt64, math.MaxInt64, 0, 0},
+		{math.MinInt32 - 1, math.MinInt32, 0, 0},
+	} {
+		if _, err := NewState(c4, op); err == nil {
+			t.Errorf("opinions %v outside int32 accepted", op)
+		}
+	}
+	// The int32 extremes themselves fit.
+	for _, op := range [][]int{
+		{math.MaxInt32, math.MaxInt32 - 1, math.MaxInt32, math.MaxInt32 - 1},
+		{math.MinInt32, math.MinInt32 + 1, math.MinInt32, math.MinInt32 + 1},
+	} {
+		s, err := NewState(c4, op)
+		if err != nil {
+			t.Fatalf("opinions %v: %v", op, err)
+		}
+		if s.Min() != min(op[0], op[1]) || s.Max() != max(op[0], op[1]) {
+			t.Errorf("opinions %v: min/max = %d/%d", op, s.Min(), s.Max())
+		}
+		if want := 2 * int64(op[0]+op[1]); s.Sum() != want {
+			t.Errorf("opinions %v: sum = %d, want %d", op, s.Sum(), want)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Errorf("opinions %v: %v", op, err)
+		}
 	}
 }
 
@@ -212,6 +249,132 @@ func TestRangeContraction(t *testing.T) {
 		minSeen, maxSeen = s.Min(), s.Max()
 		if s.Range() == 0 {
 			break
+		}
+	}
+}
+
+// TestResetToFromDirtyState pins ResetTo's reuse path: on every backend
+// path (CSR regular and irregular, implicit torus and HashedRegular)
+// and both representations, a State reset after a run of updates
+// on a profile with another window must match a freshly built State
+// and a from-scratch recount in every aggregate. The windows cover 1,
+// 2, 8 and 256 opinions (the interleaved narrow histogram) and, for
+// int32, 1000 (the wide one); successive windows both shrink and grow
+// the count arrays. n = 301 and 302 leave a tail after the four-vertex
+// groups.
+func TestResetToFromDirtyState(t *testing.T) {
+	const n = 301
+	rr, err := graph.RandomRegularSeeded(n+1, 4, 0x7e5e1, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := graph.NewHashedRegular(n+1, 4, 0x7e5e2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := graph.NewImplicitTorus(7, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		topo graph.Topology
+	}{
+		{"csr-rr", rr}, {"csr-star", graph.Star(n)}, {"csr-caterpillar", primeCaterpillar()},
+		{"torus", torus}, {"hashedregular", hashed},
+	} {
+		for _, compact := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/compact=%v", tc.name, compact), func(t *testing.T) {
+				topo := tc.topo
+				r := rng.New(rng.DeriveSeed(0x7e5e3, uint64(topo.N())))
+				windows := []int{8, 1, 256, 2, 1000, 8, 2}
+				var s *State
+				for step, w := range windows {
+					if compact && w > 256 {
+						continue
+					}
+					op := windowProfile(topo.N(), w, -3+step, r)
+					if s == nil {
+						s = newTopoState(t, topo, compact, op)
+					} else if err := s.ResetTo(op); err != nil {
+						t.Fatalf("window %d: %v", w, err)
+					}
+					label := fmt.Sprintf("window %d (reset %d)", w, step)
+					checkResetState(t, s, newTopoState(t, topo, compact, op), op, label)
+					for i := 0; i < 100 && s.Range() > 0; i++ {
+						s.SetOpinion(r.IntN(s.N()), s.Min()+r.IntN(s.Range()+1))
+					}
+				}
+			})
+		}
+	}
+}
+
+// windowProfile returns n opinions spanning exactly [base, base+w−1]:
+// a dominant opinion at base+w/2 with every fifth vertex spread over
+// the window, and both ends held.
+func windowProfile(n, w, base int, r *rand.Rand) []int {
+	op := make([]int, n)
+	for v := range op {
+		op[v] = base + w/2
+		if v%5 == 0 {
+			op[v] = base + r.IntN(w)
+		}
+	}
+	op[0], op[n-1] = base, base+w-1
+	return op
+}
+
+// checkResetState asserts that s, reset to op, equals fresh (a State
+// built on op) and a recount of op in every aggregate.
+func checkResetState(t *testing.T, s, fresh *State, op []int, label string) {
+	t.Helper()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	topo := s.Topology()
+	lo, hi := slices.Min(op), slices.Max(op)
+	count := make([]int64, hi-lo+1)
+	mass := make([]int64, hi-lo+1)
+	var sum, degSum int64
+	for v, x := range op {
+		d := int64(topo.Degree(v))
+		count[x-lo]++
+		mass[x-lo] += d
+		sum += int64(x)
+		degSum += d * int64(x)
+	}
+	for _, st := range []struct {
+		name string
+		s    *State
+	}{{"reset", s}, {"fresh", fresh}} {
+		got := st.s
+		if got.Min() != lo || got.Max() != hi {
+			t.Fatalf("%s %s: min/max = %d/%d, want %d/%d", label, st.name, got.Min(), got.Max(), lo, hi)
+		}
+		if got.Sum() != sum || got.DegSum() != degSum {
+			t.Fatalf("%s %s: sum/degSum = %d/%d, want %d/%d", label, st.name, got.Sum(), got.DegSum(), sum, degSum)
+		}
+		support := 0
+		for x := lo - 1; x <= hi+1; x++ {
+			var c, m int64
+			if x >= lo && x <= hi {
+				c, m = count[x-lo], mass[x-lo]
+			}
+			if got.Count(x) != c || got.DegreeMass(x) != m {
+				t.Fatalf("%s %s: opinion %d count/mass = %d/%d, want %d/%d",
+					label, st.name, x, got.Count(x), got.DegreeMass(x), c, m)
+			}
+			support += b2i(c > 0)
+		}
+		if got.SupportSize() != support || len(got.Support(nil)) != support {
+			t.Fatalf("%s %s: support = %d (%v), want %d", label, st.name, got.SupportSize(), got.Support(nil), support)
+		}
+		if got.Steps() != 0 || got.SupportVersion() != 0 {
+			t.Fatalf("%s %s: steps/support version = %d/%d, want 0/0", label, st.name, got.Steps(), got.SupportVersion())
+		}
+		if !slices.Equal(got.Opinions(nil), op) {
+			t.Fatalf("%s %s: opinions differ from the profile", label, st.name)
 		}
 	}
 }

@@ -124,10 +124,11 @@ type BenchBigNDissenter struct {
 	Speedup     float64 `json:"speedup"`
 	NaiveCapped bool    `json:"naive_capped"`
 	// SparsePeakBytes is the sparse engine's high-water working-set
-	// bound (the core sparse_set_peak gauge: position index + member
-	// lists); CSREstimateBytes is what the materialized CSR twin would
-	// cost (adjacency + arc index, from graph.CSRMemEstimate). The
-	// acceptance bound on the ratio is ≤ 0.05.
+	// bound (the core sparse_set_peak gauge: position index, touched
+	// bitmap and member lists); CSREstimateBytes is what the
+	// materialized CSR twin would cost (adjacency + arc index, from
+	// graph.CSRMemEstimate). The acceptance bound on the ratio is
+	// ≤ 0.05.
 	SparsePeakBytes  int64   `json:"sparse_peak_bytes"`
 	CSREstimateBytes int64   `json:"csr_estimate_bytes"`
 	SparsePeakRatio  float64 `json:"sparse_peak_ratio"`

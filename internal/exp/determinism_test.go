@@ -25,85 +25,25 @@ func suiteText(t *testing.T, p Params) string {
 	return b.String()
 }
 
-// TestSuiteDeterministicAcrossScheduling is the determinism regression
-// gate for the work-stealing sweep scheduler: at a fixed seed the full
-// quick-suite report must be byte-identical whether sweeps run on the
-// pre-scheduler serial path, on a single-worker pool, or on a wide
-// pool with trials interleaving across experiments and points. Trial
-// seeds depend only on (point seed, trial index) and every result is
-// written to its own index-addressed slot, so scheduling order must
-// not be observable.
-func TestSuiteDeterministicAcrossScheduling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick suite three times")
-	}
-	base := Params{Quick: true, Seed: 7}
-
-	serialP := base
-	serialP.Serial = true
-	serial := suiteText(t, serialP)
-
-	oneP := base
-	oneP.Parallelism = 1
-	one := suiteText(t, oneP)
-
-	wideP := base
-	wideP.Parallelism = runtime.GOMAXPROCS(0)
-	if wideP.Parallelism < 4 {
-		wideP.Parallelism = 4
-	}
-	wide := suiteText(t, wideP)
-
-	if one != serial {
-		t.Errorf("parallelism=1 report differs from serial report:\n%s", firstDiff(serial, one))
-	}
-	if wide != serial {
-		t.Errorf("parallelism=%d report differs from serial report:\n%s", wideP.Parallelism, firstDiff(serial, wide))
-	}
-}
-
-// TestSuiteDeterministicAcrossBlockSizes is the determinism gate for
-// the blocked stepping kernel: at a fixed seed the full quick-suite
-// report must be byte-identical whether the blocked sweeps run one
-// trial per block on the work-stealing pool or eight trials per block
-// interleaved in SoA slabs on the serial (pre-scheduler) path. Each
-// trial's randomness is a counter-based stream keyed only by (point
-// seed, trial index), so neither block geometry nor span scheduling
-// may be observable in the results. This single comparison varies both
-// axes at once; combined with TestSuiteDeterministicAcrossScheduling
-// (scheduled vs serial at the default block size) it pins all four
-// configurations to one document, and two suite runs instead of three
-// keeps the race-detector pass inside its time budget.
-func TestSuiteDeterministicAcrossBlockSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick suite twice")
-	}
-	base := Params{Quick: true, Seed: 7}
-
-	b1 := base
-	b1.Block = 1
-	one := suiteText(t, b1)
-
-	bs := base
-	bs.Block = 8
-	bs.Serial = true
-	serial := suiteText(t, bs)
-
-	if serial != one {
-		t.Errorf("serial block=8 report differs from scheduled block=1 report:\n%s", firstDiff(one, serial))
-	}
-}
-
-// TestSuiteByteIdentityWidthBlockMatrix extends the two gates above to
-// the full width × block grid: pool widths {1, 2, 4} crossed with
-// block sizes {1, 8} must all reproduce the serial block=8 reference
-// byte for byte, so suite reports are proven identical at any
-// parallelism, not just width 1. The (width 1, block 1) corner is
-// already pinned by TestSuiteDeterministicAcrossBlockSizes and is
-// skipped here. Under -short the matrix shrinks to width 2 at both
-// block sizes — the CI race matrix runs that trimmed form at
-// GOMAXPROCS 2 and 4, which varies the real scheduling interleave
-// underneath the same two-pass comparison.
+// TestSuiteByteIdentityWidthBlockMatrix is the suite's determinism
+// gate for the work-stealing sweep scheduler and the blocked stepping
+// kernel together: at a fixed seed the full quick-suite report must be
+// byte-identical whether sweeps run on the pre-scheduler serial path or
+// on a pool of any width, with trials interleaving across experiments
+// and points, and at any block size, one trial per block or eight
+// interleaved in SoA slabs. Each trial's randomness is a counter-based
+// stream keyed only by (point seed, trial index), and every result is
+// written to its own index-addressed slot, so neither scheduling order
+// nor block geometry may be observable.
+//
+// The serial block=8 report is the one reference. Against it run pool
+// widths {1, 2, 4, max(4, GOMAXPROCS)} crossed with block sizes {1, 8},
+// the Params defaults (width 0 = GOMAXPROCS, block 0 =
+// core.DefaultBlock) and width 0 at block 1; a cell that resolves to a
+// configuration already run is skipped. Under -short
+// the matrix shrinks to width 2 at both block sizes — the CI race
+// matrix runs that trimmed form at GOMAXPROCS 2 and 4, which varies
+// the real scheduling interleave underneath the same comparison.
 func TestSuiteByteIdentityWidthBlockMatrix(t *testing.T) {
 	base := Params{Quick: true, Seed: 7}
 
@@ -113,14 +53,25 @@ func TestSuiteByteIdentityWidthBlockMatrix(t *testing.T) {
 	want := suiteText(t, ref)
 
 	type cell struct{ width, block int }
-	cells := []cell{{1, 8}, {2, 1}, {2, 8}, {4, 1}, {4, 8}}
+	wide := max(4, runtime.GOMAXPROCS(0))
+	// Width 0 and block 0 are the Params defaults.
+	cells := []cell{{0, 0}, {0, 1}, {1, 1}, {1, 8}, {2, 1}, {2, 8}, {4, 1}, {4, 8}, {wide, 1}, {wide, 8}}
 	if testing.Short() {
 		cells = []cell{{2, 1}, {2, 8}}
 	}
+	ran := map[cell]bool{}
 	for _, c := range cells {
 		p := base
 		p.Parallelism = c.width
 		p.Block = c.block
+		resolved := cell{p.Parallelism, p.blockSize()}
+		if resolved.width == 0 {
+			resolved.width = runtime.GOMAXPROCS(0)
+		}
+		if ran[resolved] {
+			continue
+		}
+		ran[resolved] = true
 		got := suiteText(t, p)
 		if got != want {
 			t.Errorf("width=%d block=%d report differs from serial block=8 reference:\n%s",

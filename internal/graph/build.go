@@ -442,5 +442,5 @@ func BuildCSR(n int, src EdgeSource, opts BuildOpts) (*Graph, error) {
 		return nil, err
 	}
 
-	return &Graph{offsets: offsets, adj: adj, arc: new(arcCell)}, nil
+	return &Graph{offsets: offsets, adj: adj, minDeg: minDegree(offsets), arc: new(arcCell)}, nil
 }

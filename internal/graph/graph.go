@@ -21,6 +21,7 @@ import (
 type Graph struct {
 	offsets []int64 // len n+1; neighbours of v are adj[offsets[v]:offsets[v+1]]
 	adj     []int32 // concatenated sorted neighbour lists
+	minDeg  int     // minimum degree, computed once by BuildCSR
 	name    string  // human-readable family label, e.g. "complete(n=100)"
 
 	// arc caches the lazily-built shared ArcIndex. It is a pointer to a
@@ -152,18 +153,24 @@ func (g *Graph) String() string {
 // DegreeSum returns the total degree 2m.
 func (g *Graph) DegreeSum() int64 { return int64(len(g.adj)) }
 
-// MinDegree returns the minimum degree, or 0 for the empty graph.
-func (g *Graph) MinDegree() int {
-	if g.N() == 0 {
+// MinDegree returns the minimum degree, or 0 for the empty graph. It is
+// O(1): BuildCSR, the single construction funnel, computes it once.
+func (g *Graph) MinDegree() int { return g.minDeg }
+
+// minDegree scans a CSR offset array for its smallest degree (0 when
+// it holds no vertex).
+func minDegree(offsets []int64) int {
+	n := len(offsets) - 1
+	if n < 1 {
 		return 0
 	}
-	min := g.Degree(0)
-	for v := 1; v < g.N(); v++ {
-		if d := g.Degree(v); d < min {
+	min := offsets[1] - offsets[0]
+	for v := 1; v < n; v++ {
+		if d := offsets[v+1] - offsets[v]; d < min {
 			min = d
 		}
 	}
-	return min
+	return int(min)
 }
 
 // MaxDegree returns the maximum degree, or 0 for the empty graph.

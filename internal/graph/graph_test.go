@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -123,6 +125,56 @@ func TestDegreeExtremes(t *testing.T) {
 	}
 	if !Cycle(5).IsRegular() {
 		t.Error("cycle reported irregular")
+	}
+}
+
+// TestMinDegreeCached pins the minimum degree BuildCSR stores against a
+// scan of the degrees, on every construction path: builders, the
+// parallel assembler, an isolated vertex, the empty graph, a WithName
+// copy and a graph read back from an edge list, and with the unique
+// minimum at the first, second and last vertex.
+func TestMinDegreeCached(t *testing.T) {
+	rr, err := RandomRegularSeeded(1000, 6, 3, BuildOpts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, Lollipop(5, 4)); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadEdgeList(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*Graph{
+		"star": Star(6), "lollipop": Lollipop(5, 4), "binarytree": BinaryTree(10), "rr": rr,
+		"isolated": MustFromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}}),
+		"empty":    MustFromEdges(0, nil), "named": Barbell(4, 2).WithName("b"), "read": read,
+	}
+	// K_4 on the other vertices plus one pendant edge at p: p alone has
+	// degree 1.
+	for _, p := range []int{0, 1, 4} {
+		var edges []Edge
+		for u := 0; u < 5; u++ {
+			for v := u + 1; v < 5; v++ {
+				if u != p && v != p {
+					edges = append(edges, Edge{U: u, V: v})
+				}
+			}
+		}
+		edges = append(edges, Edge{U: p, V: (p + 1) % 5})
+		graphs[fmt.Sprintf("pendant-at-%d", p)] = MustFromEdges(5, edges)
+	}
+	for name, g := range graphs {
+		want := 0
+		for v := 0; v < g.N(); v++ {
+			if d := g.Degree(v); v == 0 || d < want {
+				want = d
+			}
+		}
+		if got := g.MinDegree(); got != want {
+			t.Errorf("%s: MinDegree() = %d, scan %d", name, got, want)
+		}
 	}
 }
 
