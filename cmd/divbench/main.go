@@ -75,7 +75,7 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print the aggregated metrics snapshot on exit")
 		traceFile  = flag.String("trace", "", "write a JSONL probe trace of every core run to this file (line order across parallel trials is scheduler-dependent)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and the expvar metrics snapshot on this address during the run")
-		benchJSON  = flag.String("bench-json", "", "run only the engine perf matrix and write it to this file as JSON")
+		benchJSON  = flag.String("bench-json", "", "run only the engine perf matrix and merge it into this JSON report file (keeping its bign and build sections, and its scaling section without -widths)")
 		benchBigN  = flag.String("bench-bign", "", "run only the big-n section (implicit topology + compact slab vs materialized CSR at n=10⁶, plus 10⁷ with -full) and merge it into this JSON report file")
 		benchBuild = flag.String("bench-build", "", "run only the graph-construction section (seeded parallel builders vs the frozen seed []Edge path, gnp + randomRegular at n=10⁵, plus 10⁶ and 10⁷ with -full) and merge it into this JSON report file")
 		widthsCSV  = flag.String("widths", "", "with -bench-json: also measure the suite scaling curve at these pool widths (comma-separated; 0 = all online CPUs) plus the CSR blocked-kernel block sweep, recorded in the report's 'scaling' section")
@@ -299,9 +299,46 @@ func main() {
 	}
 }
 
+// writeMerged loads the JSON report at path (an empty one, with
+// existed false, when it cannot be read), lets set replace the sections
+// this run measured, and writes the report back: a runner never deletes
+// the sections another runner wrote.
+func writeMerged(path string, set func(rep *exp.BenchReport, existed bool)) error {
+	rep := &exp.BenchReport{}
+	data, err := os.ReadFile(path)
+	if err == nil {
+		if err := json.Unmarshal(data, rep); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	set(rep, err == nil)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := rep.WriteJSON(f); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// adoptEngineReport replaces old's engine-matrix sections with fresh's
+// and keeps the sections fresh does not carry: bign, build, and scaling
+// when no width sweep ran.
+func adoptEngineReport(old, fresh *exp.BenchReport) {
+	bign, build, scaling := old.BigN, old.Build, old.Scaling
+	*old = *fresh
+	old.BigN, old.Build = bign, build
+	if old.Scaling == nil {
+		old.Scaling = scaling
+	}
+}
+
 // runBenchJSON runs the engine perf matrix (plus, when widths are
-// given, the multicore scaling section) and writes BENCH_engine.json,
-// echoing the headline numbers to stdout.
+// given, the multicore scaling section), merges it into the JSON
+// report at path (BENCH_engine.json), and echoes the headline numbers
+// to stdout.
 func runBenchJSON(path string, widths []int, params exp.Params) error {
 	start := time.Now()
 	rep, err := exp.BenchEngine(params)
@@ -315,15 +352,7 @@ func runBenchJSON(path string, widths []int, params exp.Params) error {
 		}
 		rep.Scaling = scaling
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeMerged(path, func(old *exp.BenchReport, _ bool) { adoptEngineReport(old, rep) }); err != nil {
 		return err
 	}
 	fmt.Printf("bench: %d rows -> %s (%v)\n", len(rep.Rows), path, time.Since(start).Round(time.Millisecond))
@@ -360,27 +389,15 @@ func runBenchBigN(path string, params exp.Params) error {
 	if err != nil {
 		return err
 	}
-	rep := &exp.BenchReport{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, rep); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else {
-		rep.Quick = params.Quick
-		rep.Note = "bign section generated by divbench -bench-bign; run -bench-json for the engine matrix"
-	}
-	rep.BigN = sec
 	prov := obs.CollectProvenance("divbench", params.Seed, params.Engine).WithMemStats()
-	rep.Provenance = &prov
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeMerged(path, func(rep *exp.BenchReport, existed bool) {
+		if !existed {
+			rep.Quick = params.Quick
+			rep.Note = "bign section generated by divbench -bench-bign; run -bench-json for the engine matrix"
+		}
+		rep.BigN = sec
+		rep.Provenance = &prov
+	}); err != nil {
 		return err
 	}
 	for _, arm := range sec.Arms {
@@ -447,27 +464,15 @@ func runBenchBuild(path string, params exp.Params) error {
 	if err != nil {
 		return err
 	}
-	rep := &exp.BenchReport{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, rep); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else {
-		rep.Quick = params.Quick
-		rep.Note = "build section generated by divbench -bench-build; run -bench-json for the engine matrix"
-	}
-	rep.Build = sec
 	prov := obs.CollectProvenance("divbench", params.Seed, params.Engine).WithMemStats()
-	rep.Provenance = &prov
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeMerged(path, func(rep *exp.BenchReport, existed bool) {
+		if !existed {
+			rep.Quick = params.Quick
+			rep.Note = "build section generated by divbench -bench-build; run -bench-json for the engine matrix"
+		}
+		rep.Build = sec
+		rep.Provenance = &prov
+	}); err != nil {
 		return err
 	}
 	var failures []string

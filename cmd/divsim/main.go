@@ -34,7 +34,7 @@ func main() {
 	var (
 		graphSpec  = flag.String("graph", "complete:100", "graph spec (complete:N, regular:N,D, gnp:N,P, ws:N,D,B, ba:N,M, path:N, cycle:N, star:N, torus:R,C, hypercube:D, …)")
 		k          = flag.Int("k", 5, "opinions are drawn uniformly from {1..k}")
-		dissenters = flag.Int("dissenters", 0, "two-opinion split initial profile: N vertices at 2, the rest at 1 (overrides -k; the final-stage dissenter workload)")
+		dissenters = flag.Int("dissenters", 0, "two-opinion split initial profile: N vertices at 1, the rest at 2 (overrides -k; the final-stage dissenter workload)")
 		procName   = flag.String("process", "vertex", "scheduler: vertex or edge")
 		ruleName   = flag.String("rule", "div", "update rule: div, pull, median, bestofK, loadbalance")
 		seed       = flag.Uint64("seed", 1, "random seed")
@@ -43,7 +43,7 @@ func main() {
 		trace      = flag.Bool("trace-stages", false, "print the opinion-support stage trace (first run only)")
 		series     = flag.Bool("series", false, "print range/weight/discordance trajectory sparklines (first run only)")
 		maxSteps   = flag.Int64("maxsteps", 0, "step cap (0 = 200·n²)")
-		block      = flag.Int("block", 0, "run trials through the blocked SoA stepping kernel, this many per block (0 = sequential runs); incompatible with -trace-stages and -series")
+		block      = flag.Int("block", 0, "run trials through the blocked SoA stepping kernel, this many per block (0 = sequential runs)")
 		implicit   = flag.Bool("implicit", false, "back the run with the O(1)-state implicit topology for the spec (complete, cycle, path, torus, hypercube, circulant, hashedregular) instead of a materialized CSR graph; implies -block 1")
 		compact    = flag.Bool("compact", false, "store opinions in the compact byte slab (requires the initial opinion window to span ≤ 256 values); implies -block 1")
 		traceFile  = flag.String("trace", "", "write a JSONL probe trace of every run to this file")
@@ -87,9 +87,9 @@ func servePprof(addr string) {
 func run(graphSpec string, k, dissenters int, procName, ruleName, engName string, seed uint64, trials int,
 	trace, series bool, maxSteps int64, block int, implicit, compact bool, traceFile string, metrics bool,
 	prov obs.Provenance, progress *obs.Progress) error {
-	// The sequential engines step a materialized CSR graph; the implicit
-	// backends and the compact byte slab live in the blocked kernel, so
-	// either flag routes the run through it.
+	// core.Run steps a materialized CSR graph with int32 opinions; the
+	// implicit backends and the compact byte slab need a BlockConfig, so
+	// either flag routes the run through RunBlock.
 	if (implicit || compact) && block == 0 {
 		block = 1
 	}
@@ -151,148 +151,11 @@ func run(graphSpec string, k, dissenters int, procName, ruleName, engName string
 
 	winners := stats.NewIntHistogram()
 	var stepsAll, reduceAll []float64
-
-	if block > 0 {
-		// Blocked kernel path: all trials step together in SoA blocks,
-		// each drawing from its own counter-based stream keyed by
-		// (seed, trial) — results are independent of the block size.
-		if trace || series {
-			return fmt.Errorf("-block (and -implicit/-compact, which imply it) is incompatible with -trace-stages and -series (the blocked kernel has no observer hooks)")
-		}
-		cfg := core.BlockConfig{
-			Graph:    g,
-			Topology: topo,
-			Compact:  compact,
-			Process:  proc,
-			Rule:     rule,
-			Engine:   engine,
-			Seed:     seed,
-			MaxSteps: maxSteps,
-			Block:    block,
-			Init: func(trial int, dst []int, r *rand.Rand) error {
-				if dissenters > 0 {
-					_, err := core.TwoOpinionSplitInto(dst, dissenters, r)
-					return err
-				}
-				core.UniformOpinionsInto(dst, k, r)
-				return nil
-			},
-		}
-		if tw != nil || metricsProbe != nil {
-			cfg.Probe = func(trial int, probeSeed uint64) obs.Probe {
-				var probes []obs.Probe
-				if tw != nil {
-					probes = append(probes, tw.Probe(trial, probeSeed))
-				}
-				if metricsProbe != nil {
-					probes = append(probes, metricsProbe)
-				}
-				return obs.Multi(probes...)
-			}
-		}
-		out := make([]core.Result, trials)
-		if err := core.RunBlock(cfg, 0, trials, out); err != nil {
-			return err
-		}
-		if progress != nil {
-			for t := 0; t < trials; t++ {
-				progress.Done(fmt.Sprintf("trial %d", t))
-			}
-		}
-		for t, res := range out {
-			if t == 0 {
-				fmt.Printf("initial: simple average %.4f, degree-weighted average %.4f\n",
-					res.InitialAverage, res.InitialWeightedAverage)
-			}
-			if res.Consensus {
-				winners.Add(res.Winner)
-			}
-			stepsAll = append(stepsAll, float64(res.Steps))
-			if res.TwoAdjacentStep >= 0 {
-				reduceAll = append(reduceAll, float64(res.TwoAdjacentStep))
-			}
-			if trials == 1 {
-				if res.Consensus {
-					fmt.Printf("consensus on %d after %d steps (two adjacent at step %d)\n",
-						res.Winner, res.Steps, res.TwoAdjacentStep)
-				} else {
-					fmt.Printf("NO consensus after %d steps; final range [%d,%d]\n",
-						res.Steps, res.FinalMin, res.FinalMax)
-				}
-			}
-		}
-		return finish(winners, stepsAll, reduceAll, trials, tw, traceFile, metrics)
-	}
-
-	for t := 0; t < trials; t++ {
-		if progress != nil {
-			progress.Start(fmt.Sprintf("trial %d", t))
-		}
-		trialSeed := rng.DeriveSeed(seed, uint64(t))
-		r := rng.New(trialSeed)
-		var init []int
-		if dissenters > 0 {
-			init, err = core.TwoOpinionSplit(g.N(), dissenters, r)
-			if err != nil {
-				return err
-			}
-		} else {
-			init = core.UniformOpinions(g.N(), k, r)
-		}
-		var rec interface {
-			core.SampleSink
-			RangeFloat() []float64
-			SumFloat() []float64
-			DiscordanceFloat() []float64
-		}
-		cfg := core.Config{
-			Graph:        g,
-			Initial:      init,
-			Process:      proc,
-			Rule:         rule,
-			Engine:       engine,
-			Seed:         rng.SplitMix64(trialSeed),
-			MaxSteps:     maxSteps,
-			TraceSupport: trace && t == 0,
-		}
-		var probes []obs.Probe
-		if tw != nil {
-			probes = append(probes, tw.Probe(t, cfg.Seed))
-		}
-		if metricsProbe != nil {
-			probes = append(probes, metricsProbe)
-		}
-		cfg.Probe = obs.Multi(probes...)
-		if series && t == 0 {
-			// Above the sample budget (or with an open-ended horizon)
-			// this yields a fixed-memory StreamRecorder instead of the
-			// exact append-per-sample Recorder.
-			auto := core.NewAutoRecorder(maxSteps, int64(g.N()), 0)
-			rec = auto.(interface {
-				core.SampleSink
-				RangeFloat() []float64
-				SumFloat() []float64
-				DiscordanceFloat() []float64
-			})
-			cfg.Observer = rec.Observe
-			cfg.ObserveEvery = int64(g.N())
-		}
-		res, err := core.Run(cfg)
-		if err != nil {
-			return err
-		}
+	// report prints and tallies trial t's Result, and its series
+	// sparklines when rec sampled it: the common tail of both paths.
+	report := func(t int, res core.Result, rec seriesSink) {
 		if rec != nil && rec.Len() > 1 {
-			width := 72
-			per := int64(g.N())
-			if sr, ok := rec.(*core.StreamRecorder); ok {
-				per *= sr.Stride()
-			}
-			fmt.Printf("range trajectory (one sample per %d steps):\n  %s\n",
-				per, textplot.Sparkline(downsample(rec.RangeFloat(), width)))
-			fmt.Printf("weight S(t) trajectory:\n  %s\n",
-				textplot.Sparkline(downsample(rec.SumFloat(), width)))
-			fmt.Printf("discordant-edge trajectory:\n  %s\n",
-				textplot.Sparkline(downsample(rec.DiscordanceFloat(), width)))
+			printSeries(rec, int64(topo.N()))
 		}
 		if t == 0 {
 			fmt.Printf("initial: simple average %.4f, degree-weighted average %.4f\n",
@@ -319,11 +182,153 @@ func run(graphSpec string, k, dissenters int, procName, ruleName, engName string
 					res.Steps, res.FinalMin, res.FinalMax)
 			}
 		}
+	}
+	// The first trial's series recorder: above the sample budget (or
+	// with an open-ended horizon) a fixed-memory StreamRecorder instead
+	// of the exact append-per-sample Recorder.
+	var rec seriesSink
+	if series && trials > 0 {
+		rec = core.NewAutoRecorder(maxSteps, int64(topo.N()), 0).(seriesSink)
+	}
+
+	if block > 0 {
+		// Blocked kernel path: all trials step together in SoA blocks,
+		// each drawing from its own counter-based stream keyed by
+		// (seed, trial) — results are independent of the block size.
+		cfg := core.BlockConfig{
+			Graph:        g,
+			Topology:     topo,
+			Compact:      compact,
+			Process:      proc,
+			Rule:         rule,
+			Engine:       engine,
+			Seed:         seed,
+			MaxSteps:     maxSteps,
+			Block:        block,
+			TraceSupport: trace,
+			Init: func(trial int, dst []int, r *rand.Rand) error {
+				if dissenters > 0 {
+					_, err := core.TwoOpinionSplitInto(dst, dissenters, r)
+					return err
+				}
+				core.UniformOpinionsInto(dst, k, r)
+				return nil
+			},
+		}
+		if tw != nil || metricsProbe != nil {
+			cfg.Probe = func(trial int, probeSeed uint64) obs.Probe {
+				var probes []obs.Probe
+				if tw != nil {
+					probes = append(probes, tw.Probe(trial, probeSeed))
+				}
+				if metricsProbe != nil {
+					probes = append(probes, metricsProbe)
+				}
+				return obs.Multi(probes...)
+			}
+		}
+		out := make([]core.Result, trials)
+		// Trial 0 runs on its own when its series is sampled: a trial's
+		// Result depends only on (config, seed, trial), so the other
+		// trials step exactly as they would without -series.
+		from := 0
+		if rec != nil {
+			first := cfg
+			first.Observer = func(_ int, s *core.State) bool { return rec.Observe(s) }
+			if err := core.RunBlock(first, 0, 1, out[:1]); err != nil {
+				return err
+			}
+			from = 1
+		}
+		if err := core.RunBlock(cfg, from, trials, out[from:]); err != nil {
+			return err
+		}
+		for t, res := range out {
+			if progress != nil {
+				progress.Done(fmt.Sprintf("trial %d", t))
+			}
+			if t > 0 {
+				rec = nil
+			}
+			report(t, res, rec)
+		}
+		return finish(winners, stepsAll, reduceAll, trials, tw, traceFile, metrics)
+	}
+
+	for t := 0; t < trials; t++ {
+		if progress != nil {
+			progress.Start(fmt.Sprintf("trial %d", t))
+		}
+		trialSeed := rng.DeriveSeed(seed, uint64(t))
+		r := rng.New(trialSeed)
+		var init []int
+		if dissenters > 0 {
+			init, err = core.TwoOpinionSplit(g.N(), dissenters, r)
+			if err != nil {
+				return err
+			}
+		} else {
+			init = core.UniformOpinions(g.N(), k, r)
+		}
+		cfg := core.Config{
+			Graph:        g,
+			Initial:      init,
+			Process:      proc,
+			Rule:         rule,
+			Engine:       engine,
+			Seed:         rng.SplitMix64(trialSeed),
+			MaxSteps:     maxSteps,
+			TraceSupport: trace && t == 0,
+		}
+		var probes []obs.Probe
+		if tw != nil {
+			probes = append(probes, tw.Probe(t, cfg.Seed))
+		}
+		if metricsProbe != nil {
+			probes = append(probes, metricsProbe)
+		}
+		cfg.Probe = obs.Multi(probes...)
+		if t > 0 {
+			rec = nil
+		}
+		if rec != nil {
+			cfg.Observer = rec.Observe
+		}
+		res, err := core.Run(cfg)
+		if err != nil {
+			return err
+		}
+		report(t, res, rec)
 		if progress != nil {
 			progress.Done(fmt.Sprintf("trial %d", t))
 		}
 	}
 	return finish(winners, stepsAll, reduceAll, trials, tw, traceFile, metrics)
+}
+
+// seriesSink is the recorder -series samples the first trial into.
+type seriesSink interface {
+	core.SampleSink
+	RangeFloat() []float64
+	SumFloat() []float64
+	DiscordanceFloat() []float64
+}
+
+// printSeries prints rec's range, weight and discordance trajectories
+// as sparklines; rec sampled every n steps (times its stride, for a
+// StreamRecorder).
+func printSeries(rec seriesSink, n int64) {
+	const width = 72
+	per := n
+	if sr, ok := rec.(*core.StreamRecorder); ok {
+		per *= sr.Stride()
+	}
+	fmt.Printf("range trajectory (one sample per %d steps):\n  %s\n",
+		per, textplot.Sparkline(downsample(rec.RangeFloat(), width)))
+	fmt.Printf("weight S(t) trajectory:\n  %s\n",
+		textplot.Sparkline(downsample(rec.SumFloat(), width)))
+	fmt.Printf("discordant-edge trajectory:\n  %s\n",
+		textplot.Sparkline(downsample(rec.DiscordanceFloat(), width)))
 }
 
 // finish prints the batch summary and flushes the probe sinks — the

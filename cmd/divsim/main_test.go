@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -46,4 +47,58 @@ func TestRunEngineImplicitCompact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunBlockedSeriesAndStages: blocked runs (-block, and -implicit
+// and -compact, which imply it) print the first trial's series
+// sparklines and support-stage trace, through BlockConfig's observer
+// and TraceSupport, under every engine.
+func TestRunBlockedSeriesAndStages(t *testing.T) {
+	cases := []struct {
+		name, spec, eng   string
+		block             int
+		implicit, compact bool
+	}{
+		{"block csr auto", "cycle:300", "auto", 4, false, false},
+		{"implicit hashedregular auto", "hashedregular:2000,8", "auto", 0, true, false},
+		{"implicit compact fast", "circulant:600,1+2", "fast", 0, true, true},
+		{"compact csr naive", "cycle:200", "naive", 0, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return run(tc.spec, 3, 0, "vertex", "div", tc.eng, 7, 3,
+					true, true, 0, tc.block, tc.implicit, tc.compact, "", false,
+					obs.Provenance{}, nil)
+			})
+			for _, want := range []string{"range trajectory", "discordant-edge trajectory", "step          0: support [1 2 3]"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("output lacks %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a temporary file
+// and returns what f printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("run() failed: %v", err)
+	}
+	b, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

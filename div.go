@@ -314,7 +314,7 @@ type (
 	ProbeMaker = obs.ProbeMaker
 	// StepBatch aggregates a contiguous span of steps.
 	StepBatch = obs.StepBatch
-	// EngineSwitch reports a hybrid naive⇄fast transition.
+	// EngineSwitch reports a block⇄sparse hand-off or rebound.
 	EngineSwitch = obs.EngineSwitch
 	// DiscordanceEvent samples the discordant-arc mass.
 	DiscordanceEvent = obs.Discordance

@@ -70,11 +70,9 @@ var (
 // backed generator), so a trial's Result is a pure function of
 // (configuration, Seed, t).
 //
-// Compared to Config, the blocked path does not support Observer or
-// TraceSupport: those are per-step interfaces at odds with batched
-// stepping, and the experiment harness that drives blocks uses neither.
-// Probes are supported with chunk-granular batch events (Regime
-// "block").
+// Run is the one-row case: its fast and auto engines run as trial 0 of
+// a BlockConfig. Probes get chunk-granular batch events (regime
+// "block", then "sparse" after a hand-off).
 type BlockConfig struct {
 	// Graph is the (connected, min-degree ≥ 1) interaction graph.
 	Graph *graph.Graph
@@ -134,9 +132,22 @@ type BlockConfig struct {
 	// Probe, when non-nil, builds a per-trial probe exactly as the sim
 	// harness does: Probe(t, rng.DeriveSeed(Seed, t)).
 	Probe obs.ProbeMaker
-	// ObserveEvery sets the probe's batch-event cadence (rounded up to
-	// chunk boundaries). Default n.
+	// ObserveEvery is the Observer period in steps and the probe's
+	// batch-event cadence (rounded up to chunk boundaries when no
+	// Observer is set). Default n.
 	ObserveEvery int64
+	// Observer, when non-nil, is invoked with each trial's live state at
+	// step 0 and at every multiple of ObserveEvery the trial reaches, on
+	// every kernel: chunks and sparse skips are clipped at those
+	// boundaries, which they are not without an Observer (an observed
+	// EngineAuto trial hands off at other steps than an unobserved one;
+	// under EngineNaive the Results are byte-identical). Returning false
+	// aborts the trial at that step (Result.Aborted). The observer must
+	// treat the state as read-only, as Config.Observer.
+	Observer func(trial int, s *State) bool
+	// TraceSupport records each trial's Result.Stages: a Stage whenever
+	// the set of present opinions changes.
+	TraceSupport bool
 	// Scratch, when non-nil, supplies the reusable block arena (opinion
 	// slab, row states, hand-off SparseStates) so repeated batches on one
 	// graph allocate nothing. Must be bound to Graph.
@@ -305,8 +316,7 @@ type blockArena struct {
 	inflight []*blockRow
 	run      blockRun
 	// sparse is the shared SparseState per process (O(n) position index
-	// + O(discordance) member set), rebound and reseeded per hand-off
-	// and per sequential fast/hybrid entry on a Scratch.
+	// + O(discordance) member set), rebound and reseeded per hand-off.
 	sparse [2]*SparseState
 }
 
@@ -363,9 +373,6 @@ func (a *blockArena) grow(bn int, compact bool) {
 // to whichever trial is stepping under the discordance engine; that
 // trial finishes or bounces back before any other can need it.
 func (a *blockArena) sparseFor(s *State, proc Process) (*SparseState, error) {
-	if proc != VertexProcess && proc != EdgeProcess {
-		return NewSparseState(s, proc) // the unknown-process error
-	}
 	if sp := a.sparse[proc]; sp != nil {
 		sp.rebind(s)
 		sp.Seed()
@@ -404,6 +411,8 @@ type blockRun struct {
 	seed         uint64
 	maxSteps     int64
 	observeEvery int64
+	observer     func(trial int, s *State) bool
+	traceSupport bool
 	init         func(trial int, dst []int, r *rand.Rand) error
 	probeMaker   obs.ProbeMaker
 	arena        *blockArena
@@ -464,6 +473,9 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 	if cfg.Init == nil {
 		return nil, fmt.Errorf("core: BlockConfig.Init is required")
 	}
+	if cfg.Process != VertexProcess && cfg.Process != EdgeProcess {
+		return nil, fmt.Errorf("core: unknown process %v", cfg.Process)
+	}
 	if topo.MinDegree() == 0 {
 		return nil, fmt.Errorf("core: %v process requires min degree >= 1", cfg.Process)
 	}
@@ -521,6 +533,7 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 		proc: cfg.Process, rule: rule, pw: pw, isDIV: isDIV,
 		engine: cfg.Engine, stop: cfg.Stop,
 		seed: cfg.Seed, maxSteps: maxSteps, observeEvery: observeEvery,
+		observer: cfg.Observer, traceSupport: cfg.TraceSupport,
 		init: cfg.Init, probeMaker: cfg.Probe, arena: arena, block: block,
 		n: n, un: uint64(n), arcs: uint64(topo.DegreeSum()),
 		enterScale: 2 * costUnits, exitScale: costUnits,
@@ -591,6 +604,12 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 	if cfg.Engine == EngineFast && b.handoffDisabled {
 		return nil, fmt.Errorf("core: fast engine on %q: the sparse discordance engine serves pairwise rules on CSR graphs with int32 opinions and DIV on non-complete implicit/compact runs", topo.Name())
 	}
+	// An observer every few steps clips every skip to a few steps, so
+	// skip-sampling would cost more than the draws it skips: EngineAuto
+	// stays blocked then.
+	if cfg.Engine == EngineAuto && cfg.Observer != nil && observeEvery < 8 {
+		b.handoffDisabled = true
+	}
 	return b, nil
 }
 
@@ -642,14 +661,50 @@ func (b *blockRun) initRow(row *blockRow, trial int) error {
 	row.laneDrawn, row.laneActive = 0, 0
 	row.done, row.wantFast = false, false
 	b.recordMilestones(row)
+	b.recordStage(row)
 	b.checkMajority(row)
+	if b.observer != nil {
+		b.observe(row)
+	}
 	switch {
-	case stopMet(s, b.stop):
+	case row.done:
+	case stopMet(s, b.stop) || b.maxSteps <= 0:
 		row.done = true
 	case b.engine == EngineFast:
 		row.wantFast = true
 	}
 	return nil
+}
+
+// observe invokes the observer when row's trial sits on an ObserveEvery
+// boundary, and ends the trial there if the observer aborts it. Callers
+// check b.observer first and call it at step 0 and after each advance
+// (a running trial never has a zero chunk or skip budget), so no
+// boundary is observed twice.
+func (b *blockRun) observe(row *blockRow) {
+	if s := row.s; s.Steps()%b.observeEvery == 0 && !b.observer(row.trial, s) {
+		row.res.Aborted = true
+		row.done = true
+	}
+}
+
+// chunkLimit is the draw budget of a chunk: hybridWindow, clipped at
+// MaxSteps and, with an observer, at the next ObserveEvery boundary.
+func (b *blockRun) chunkLimit(s *State) int64 {
+	limit := min(hybridWindow, b.maxSteps-s.Steps())
+	if b.observer != nil {
+		limit = min(limit, b.observeEvery-s.Steps()%b.observeEvery)
+	}
+	return limit
+}
+
+// recordStage appends the current support to the trial's Stages when
+// TraceSupport is set.
+func (b *blockRun) recordStage(row *blockRow) {
+	if b.traceSupport {
+		s := row.s
+		row.res.Stages = append(row.res.Stages, Stage{FromStep: s.Steps(), Opinions: s.Support(nil)})
+	}
 }
 
 // weightAverage mirrors Scheduler.WeightAverage without needing a
@@ -685,11 +740,12 @@ func (b *blockRun) recordMilestones(row *blockRow) {
 	}
 }
 
-// supportEvent records milestones and emits the probe Stage event; the
-// shared body of the blocked loops' support handling and the hand-off
-// loopEnv.onSupport.
+// supportEvent records milestones and the support stage and emits the
+// probe Stage event: the support handling of every kernel and of the
+// sparse loop.
 func (b *blockRun) supportEvent(row *blockRow) {
 	b.recordMilestones(row)
+	b.recordStage(row)
 	if row.probe != nil {
 		s := row.s
 		row.probe.Stage(obs.Stage{
@@ -745,12 +801,16 @@ func (b *blockRun) advanceChunk(row *blockRow) {
 }
 
 // afterChunk is the chunk-granular bookkeeping shared by the per-row
-// and lane-interleaved paths: MaxSteps termination, probe batch
-// flushing on the ObserveEvery cadence, and the hybrid hand-off
-// trigger. All decisions depend only on the row's own draws and state,
-// which is what keeps results independent of block composition.
+// and lane-interleaved paths: MaxSteps termination, the observer at
+// ObserveEvery boundaries, probe batch flushing on the same cadence,
+// and the hybrid hand-off trigger. All decisions depend only on the
+// row's own draws and state, which is what keeps results independent
+// of block composition.
 func (b *blockRun) afterChunk(row *blockRow) {
 	s := row.s
+	if b.observer != nil {
+		b.observe(row)
+	}
 	if !row.done && s.Steps() >= b.maxSteps {
 		row.done = true
 	}
@@ -762,10 +822,9 @@ func (b *blockRun) afterChunk(row *blockRow) {
 	if row.done || row.wantFast {
 		return
 	}
-	// Hybrid trigger, evaluated at chunk granularity: the same windowed
-	// idle-fraction policy as hybridLoop (see its cost model), which is
-	// a lawful stopping time here for the same reason — it is a
-	// function of the row's own realized draws.
+	// Hybrid trigger, evaluated at chunk granularity: the windowed
+	// idle-fraction policy of hybrid.go's cost model, a lawful stopping
+	// time because it is a function of the row's own realized draws.
 	if b.engine == EngineAuto && !b.handoffDisabled && row.windowDraws >= hybridWindow {
 		switch {
 		case row.cooldown > 0:
@@ -863,10 +922,7 @@ func (b *blockRun) chunkVertexBig(row *blockRow) {
 	op := s.opinions
 	un := b.un
 	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
+	limit := b.chunkLimit(s)
 	var pending int64
 	for i := int64(0); i < limit; i++ {
 		x := st.Uint64()
@@ -921,10 +977,7 @@ func (b *blockRun) chunkEdgeBig(row *blockRow) {
 	op := s.opinions
 	arcs := b.arcs
 	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
+	limit := b.chunkLimit(s)
 	var pending int64
 	for i := int64(0); i < limit; i++ {
 		x := st.Uint64()
@@ -975,10 +1028,7 @@ func (b *blockRun) chunkEdgeBig(row *blockRow) {
 func (b *blockRun) laneChunk(rows []*blockRow) {
 	live := b.arena.lanes[:0]
 	for _, row := range rows {
-		limit := hybridWindow
-		if rem := b.maxSteps - row.s.Steps(); rem < limit {
-			limit = rem
-		}
+		limit := b.chunkLimit(row.s)
 		row.laneRemaining = limit
 		row.lanePending, row.laneSum, row.laneDegSum = 0, 0, 0
 		row.laneDrawn, row.laneActive = 0, 0
@@ -1302,10 +1352,7 @@ func (b *blockRun) laneLoopEdge(live []*blockRow) []*blockRow {
 func (b *blockRun) chunkGeneric(row *blockRow) {
 	s := row.s
 	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
+	limit := b.chunkLimit(s)
 	for i := int64(0); i < limit; i++ {
 		v, w := row.sched.Pair(row.r)
 		s.countStep()
@@ -1332,8 +1379,8 @@ func (b *blockRun) chunkGeneric(row *blockRow) {
 // engine: seed the arena's shared set — one read of the opinion row
 // plus O(old members + n/64 + n_off·d̄), see SparseState.Seed — and
 // continue the trial under skip-sampling. Under
-// EngineAuto the exact mass vetoes noisy triggers first (as hybridLoop
-// does): if discordance is still above the exit threshold the row
+// EngineAuto the exact mass vetoes noisy triggers first: if
+// discordance is still above the exit threshold the row
 // bounces back to blocked stepping with an exponentially growing
 // cooldown, and a mid-flight rebound returns the row to blocked
 // stepping the same way — the blocked loop IS the naive regime here. A SparseState
@@ -1374,7 +1421,7 @@ func (b *blockRun) handoffSparse(row *blockRow) error {
 	row.batch = obs.StepBatch{FromStep: s.Steps()}
 	if b.retireSparse(row, sp, b.engine == EngineAuto) {
 		// Discordance rebounded past the exit threshold: back to blocked
-		// stepping with the same exponential cooldown as hybridLoop.
+		// stepping with the same exponential cooldown as a veto.
 		row.cooldown = row.nextCooldown
 		if row.nextCooldown < hybridMaxCooldown {
 			row.nextCooldown *= 2
@@ -1415,6 +1462,7 @@ func (b *blockRun) finalize(row *blockRow, out []Result, t0 int) {
 			Step:      row.res.Steps,
 			Winner:    row.res.Winner,
 			Consensus: row.res.Consensus,
+			Aborted:   row.res.Aborted,
 		})
 	}
 	out[row.trial-t0] = row.res

@@ -14,8 +14,8 @@ import (
 // This file is the general-graph (CSR) arm of the blocked kernel's
 // equivalence battery, mirroring the K_n arm in block_test.go: the
 // lane-interleaved half-word kernels (laneLoopVertex/laneLoopEdge)
-// must realize the same process law as the sequential fast engine on
-// exactly the families the experiment grid runs them on — an expander
+// must realize the same process law as Run's fast engine on exactly
+// the families the experiment grid runs them on — an expander
 // (random regular), a torus, and a path — at the same α = 0.001
 // χ²/KS standard. A fuzz target over (family, n, k, B) then pins the
 // kernel's byte-identity contract on arbitrary small configurations.
@@ -36,8 +36,8 @@ func csrTestGraphs(t testing.TB) map[string]*graph.Graph {
 }
 
 // TestBlockCSRDistributionEquivalence compares the blocked CSR
-// kernels against the sequential fast engine: independent samples,
-// two-sample χ² on winners and two-sample KS on both stopping times.
+// kernels against Run's fast engine: independent samples, two-sample
+// χ² on winners and two-sample KS on both stopping times.
 func TestBlockCSRDistributionEquivalence(t *testing.T) {
 	trials := eqTrials(t)
 	for name, g := range csrTestGraphs(t) {

@@ -465,4 +465,9 @@ func TestBlockValidation(t *testing.T) {
 	if err := RunBlock(BlockConfig{Graph: graph.Path(3), Init: init, Process: EdgeProcess}, 0, 1, out); err != nil {
 		t.Errorf("valid path-graph config rejected: %v", err)
 	}
+	for _, engine := range []Engine{EngineNaive, EngineFast, EngineAuto} {
+		if err := RunBlock(BlockConfig{Graph: g, Init: init, Engine: engine, Process: Process(7)}, 0, 1, out); err == nil {
+			t.Errorf("%v: unknown process accepted", engine)
+		}
+	}
 }

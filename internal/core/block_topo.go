@@ -56,10 +56,7 @@ func chunkCompleteSmallG[O opcell](b *blockRun, row *blockRow) {
 	d, magic := b.d, b.magic
 	thresh := -m % m // (2^32 - m) mod m
 	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
+	limit := b.chunkLimit(s)
 	spare, haveSpare := row.spare, row.haveSpare
 	var drawn, committed, active, sumDelta int64
 	for drawn < limit {
@@ -135,10 +132,7 @@ func chunkCompleteBigG[O opcell](b *blockRun, row *blockRow) {
 	absOff := int(s.base - biasOf[O](s))
 	m, d := b.m, b.d
 	probe := row.probe != nil
-	limit := hybridWindow
-	if rem := b.maxSteps - s.Steps(); rem < limit {
-		limit = rem
-	}
+	limit := b.chunkLimit(s)
 	var pending int64
 	for i := int64(0); i < limit; i++ {
 		x := st.Uint64()

@@ -5,17 +5,18 @@ import (
 	"strings"
 )
 
-// Engine selects the stepping strategy used by Run. Every engine
-// realizes the same process law — the joint distribution of the opinion
-// trajectory, the step counter, the stopping times, and the observer
-// call sites is identical — they differ only in how much work a step
-// costs.
+// Engine selects the stepping strategy used by Run and RunBlock. Every
+// engine realizes the same process law — the joint distribution of the
+// opinion trajectory, the step counter, the stopping times, and the
+// observer call sites is identical — they differ only in how much work
+// a step costs.
 type Engine int
 
 const (
 	// EngineNaive simulates every scheduler invocation individually,
-	// including the no-op steps where the scheduled pair already agrees.
-	// It is the reference implementation and the default.
+	// including the no-op steps where the scheduled pair already agrees:
+	// Run's sequential loop, RunBlock's blocked kernel. It is the
+	// reference implementation and the default.
 	EngineNaive Engine = iota
 	// EngineFast tracks the discordant (disagreeing) vertices
 	// incrementally (SparseState) and advances the step counter past
@@ -25,11 +26,12 @@ const (
 	// trajectories are law-equivalent to EngineNaive's, not
 	// byte-identical.
 	EngineFast
-	// EngineAuto adapts at runtime: it steps naively while discordance
-	// is high and switches to the same skip-sampling engine when a
-	// windowed idle-fraction estimate says the O(d(v))
-	// per-active-step bookkeeping will pay for itself (hybrid.go). Runs
-	// whose rule is not a PairwiseRule stay naive throughout.
+	// EngineAuto adapts at runtime: a trial steps in the blocked kernel
+	// while discordance is high and hands off to the same skip-sampling
+	// engine when a windowed idle-fraction estimate says the O(d(v))
+	// per-active-step bookkeeping will pay for itself, coming back if
+	// discordance rebounds (hybrid.go). Runs whose rule is not a
+	// PairwiseRule stay naive throughout (in Run, the sequential loop).
 	EngineAuto
 )
 
@@ -59,39 +61,5 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineAuto, nil
 	default:
 		return EngineNaive, fmt.Errorf("core: unknown engine %q (want naive, fast, or auto)", s)
-	}
-}
-
-// stepMode is the concrete stepping strategy engineFor resolved
-// cfg.Engine to.
-type stepMode int
-
-const (
-	stepNaive stepMode = iota
-	stepFast
-	stepHybrid
-)
-
-// engineFor resolves cfg.Engine to a concrete stepper. stepFast comes
-// with a ready *SparseState; stepHybrid builds (and reseeds) one lazily
-// as discordance falls and rebounds. EngineFast errors when the run is
-// ineligible; EngineAuto silently stays naive.
-func engineFor(cfg Config, s *State, rule Rule) (stepMode, *SparseState, error) {
-	switch cfg.Engine {
-	case EngineNaive:
-		return stepNaive, nil, nil
-	case EngineFast:
-		if _, ok := rule.(PairwiseRule); !ok {
-			return 0, nil, fmt.Errorf("core: fast engine requires a PairwiseRule, got %q", rule.Name())
-		}
-		sp, err := sparseFor(cfg.Scratch, s, cfg.Process)
-		return stepFast, sp, err
-	case EngineAuto:
-		if _, ok := rule.(PairwiseRule); !ok {
-			return stepNaive, nil, nil
-		}
-		return stepHybrid, nil, nil
-	default:
-		return 0, nil, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
 	}
 }

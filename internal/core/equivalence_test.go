@@ -203,13 +203,13 @@ func TestEngineDistributionEquivalence(t *testing.T) {
 	}
 }
 
-// TestHybridSwitchingEquivalence holds the EngineAuto hybrid loop to
-// the same distribution-identity standard as the pure fast engine. The
+// TestHybridSwitchingEquivalence holds EngineAuto's switching to the
+// same distribution-identity standard as the pure fast engine. The
 // switching window and cost ratio are shrunk so that runs on the small
-// test graphs genuinely cross the naive→fast and fast→naive boundaries
-// many times (with the production window of 4096 draws these runs
-// would stay naive throughout and the test would be vacuous). Not
-// parallel: it mutates the package-level tuning knobs.
+// test graphs genuinely cross the block→sparse and sparse→block
+// boundaries many times (with the production window of 4096 draws
+// these runs would stay blocked throughout and the test would be
+// vacuous). Not parallel: it mutates the package-level tuning knobs.
 func TestHybridSwitchingEquivalence(t *testing.T) {
 	oldWindow, oldRatio := hybridWindow, hybridCostRatio
 	hybridWindow, hybridCostRatio = 64, 1

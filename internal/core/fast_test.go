@@ -347,16 +347,16 @@ func TestFastIdleJump(t *testing.T) {
 	}
 }
 
-// TestFastObserverBoundaries: the fast engine must invoke the observer
-// at exactly the naive engine's call sites — step 0 and every multiple
-// of ObserveEvery up to the stopping step — even when those multiples
-// fall inside skipped idle stretches.
+// TestFastObserverBoundaries: the fast and auto engines (one-row
+// RunBlock) must invoke the observer at exactly the naive engine's call
+// sites — step 0 and every multiple of ObserveEvery up to the stopping
+// step — even when those multiples fall inside skipped idle stretches.
 func TestFastObserverBoundaries(t *testing.T) {
 	g := graph.Cycle(12)
 	r := rng.New(21)
 	init := UniformOpinions(12, 3, r)
 	const every = 7
-	for _, engine := range []Engine{EngineNaive, EngineFast} {
+	for _, engine := range []Engine{EngineNaive, EngineFast, EngineAuto} {
 		var seen []int64
 		res, err := Run(Config{
 			Graph:        g,
@@ -386,13 +386,13 @@ func TestFastObserverBoundaries(t *testing.T) {
 	}
 }
 
-// TestFastObserverAbort: aborting from an observer stops both engines
+// TestFastObserverAbort: aborting from an observer stops every engine
 // at exactly the observed step.
 func TestFastObserverAbort(t *testing.T) {
 	g := graph.Cycle(16)
 	r := rng.New(5)
 	init := UniformOpinions(16, 4, r)
-	for _, engine := range []Engine{EngineNaive, EngineFast} {
+	for _, engine := range []Engine{EngineNaive, EngineFast, EngineAuto} {
 		calls := 0
 		res, err := Run(Config{
 			Graph:        g,
@@ -475,13 +475,13 @@ func TestEngineParseAndString(t *testing.T) {
 	}
 }
 
-// TestAutoHeuristic: the hybrid cost model must price a fast active
+// TestAutoHeuristic: the hybrid cost model must price a sparse active
 // step much higher on dense graphs than on sparse ones (so Auto only
 // enters skip-sampling on K_n when discordance is truly microscopic),
-// and the hybrid loop must keep exact step accounting across the
-// naive→fast transition: from a consensus start every draw is idle, so
-// Auto first measures a silent window naively, then jumps, and an
-// UntilMaxSteps run must still report exactly MaxSteps.
+// and the auto engine must keep exact step accounting across the
+// block→sparse hand-off: from a consensus start every draw is idle, so
+// Auto first measures a silent window in the blocked kernel, then
+// jumps, and an UntilMaxSteps run must still report exactly MaxSteps.
 func TestAutoHeuristic(t *testing.T) {
 	dense := hybridCostUnits(graph.Complete(100))
 	rr, err := graph.RandomRegularSeeded(128, 4, 2, graph.BuildOpts{})

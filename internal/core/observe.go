@@ -9,19 +9,21 @@ package core
 // and the discordant-edge count (the potential of the paper's
 // final-stage analysis).
 //
-// Sampling cadence under skip-sampling engines: the fast and hybrid
-// engines never simulate idle steps individually, but they cap every
-// geometric skip at the next ObserveEvery boundary, so an observer is
-// invoked at exactly the same step numbers as under EngineNaive —
+// Sampling cadence under skip-sampling: the discordance engine behind
+// the fast and auto engines never simulates idle steps individually,
+// but with an observer it caps every geometric skip (and the blocked
+// kernel every chunk) at the next ObserveEvery boundary, so an observer
+// is invoked at exactly the same step numbers as under EngineNaive —
 // samples land on multiples of ObserveEvery regardless of engine
-// (probe_test.go asserts this). The boundary visit is lawful because
-// the truncated geometric is memoryless (DESIGN.md §6). The cost model
-// differs, though: under naive stepping a sample is O(1) except for
-// Discordance, which recounts in O(m); under fast stepping Discordance
-// is O(1) from the engine's live index, but each boundary visit bounds
-// the skip length, so a very small ObserveEvery erodes the fast
-// engine's advantage (the hybrid engine refuses fast mode entirely
-// when ObserveEvery < 8 for exactly this reason).
+// (probe_test.go and block_observer_test.go assert this). The boundary
+// visit is lawful because the truncated geometric is memoryless
+// (DESIGN.md §6). The cost model differs, though: in the naive and
+// blocked regimes a sample is O(1) except for Discordance, which
+// recounts in O(m); in the sparse regime Discordance is O(1) from the
+// engine's live index, but each boundary visit bounds the skip length,
+// so a very small ObserveEvery erodes skip-sampling's advantage
+// (EngineAuto never hands off when ObserveEvery < 8 for exactly this
+// reason).
 type Recorder struct {
 	// Steps[i] is the step count at sample i.
 	Steps []int64
@@ -37,8 +39,8 @@ type Recorder struct {
 	// masses of the smallest and largest surviving opinions.
 	PiMin, PiMax []float64
 	// Discordance[i] is the number of discordant edges at sample i —
-	// O(1) to read while a fast engine's index is live, an O(m) recount
-	// under EngineNaive (see State.DiscordantEdges).
+	// O(1) to read while the discordance engine's index is live, an
+	// O(m) recount otherwise (see State.DiscordantEdges).
 	Discordance []int64
 }
 

@@ -24,8 +24,8 @@ func (p *collectingProbe) Stage(s obs.Stage)               { p.stages = append(p
 func (p *collectingProbe) Done(d obs.Done)                 { p.dones = append(p.dones, d) }
 
 // dissenterConfig builds the dissenter final-stage workload: a random
-// regular graph with a small minority at opinion 2 — the profile that
-// exercises the hybrid engine's naive→fast→naive transitions.
+// regular graph with a small minority at opinion 1 — the profile that
+// exercises the auto engine's block→sparse→block transitions.
 func dissenterConfig(t *testing.T, n, d, dissenters int, seed uint64) Config {
 	t.Helper()
 	g, err := graph.RandomRegularSeeded(n, d, rng.DeriveSeed(seed, 1), graph.BuildOpts{})
@@ -141,11 +141,17 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestProbeEngineSwitches drives the hybrid engine on the dissenter
-// profile and checks the switch events: at least one naive→fast
-// transition, regimes alternating, legal reasons, and every switch
-// landing inside the run.
+// TestProbeEngineSwitches drives the auto engine on the dissenter
+// profile and checks the switch events: at least one block→sparse
+// hand-off, regimes alternating, legal reasons, and every switch
+// landing inside the run. The first hand-off decision comes after a
+// full window of blocked draws, and this run reaches consensus within
+// one production window, so the window is shrunk (not parallel for
+// that reason).
 func TestProbeEngineSwitches(t *testing.T) {
+	oldWindow := hybridWindow
+	hybridWindow = 64
+	defer func() { hybridWindow = oldWindow }()
 	cfg := dissenterConfig(t, 2000, 8, 4, 0x51c4)
 	cfg.Engine = EngineAuto
 	var p collectingProbe
@@ -155,22 +161,22 @@ func TestProbeEngineSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(p.switches) == 0 {
-		t.Fatal("hybrid run on the dissenter profile produced no engine-switch events")
+		t.Fatal("auto run on the dissenter profile produced no engine-switch events")
 	}
-	regime := obs.RegimeNaive
+	regime := obs.RegimeBlock
 	for i, sw := range p.switches {
 		if sw.From != regime || sw.To == sw.From {
 			t.Fatalf("switch %d: %s→%s does not continue regime %s", i, sw.From, sw.To, regime)
 		}
 		regime = sw.To
 		switch sw.Reason {
-		case obs.SwitchProbe, obs.SwitchWindow:
-			if sw.To != obs.RegimeFast {
-				t.Fatalf("switch %d: reason %q must enter fast, got →%s", i, sw.Reason, sw.To)
+		case obs.SwitchWindow:
+			if sw.To != obs.RegimeSparse {
+				t.Fatalf("switch %d: reason %q must enter sparse, got →%s", i, sw.Reason, sw.To)
 			}
 		case obs.SwitchRebound:
-			if sw.To != obs.RegimeNaive {
-				t.Fatalf("switch %d: reason %q must exit to naive, got →%s", i, sw.Reason, sw.To)
+			if sw.To != obs.RegimeBlock {
+				t.Fatalf("switch %d: reason %q must return to block, got →%s", i, sw.Reason, sw.To)
 			}
 		default:
 			t.Fatalf("switch %d: unknown reason %q", i, sw.Reason)
@@ -182,8 +188,13 @@ func TestProbeEngineSwitches(t *testing.T) {
 			t.Fatalf("switch %d: mass %d/%d not a probability", i, sw.MassNum, sw.MassDen)
 		}
 	}
-	if regime != obs.RegimeFast && len(p.discords) == 0 {
-		t.Error("run ended in fast regime at least once but emitted no discordance events")
+	for i, b := range p.batches {
+		if b.Engine != obs.RegimeBlock && b.Engine != obs.RegimeSparse {
+			t.Fatalf("batch %d attributed to regime %q", i, b.Engine)
+		}
+	}
+	if len(p.discords) == 0 {
+		t.Error("run entered the sparse regime but emitted no discordance events")
 	}
 	for i, d := range p.discords {
 		if d.Edges < 0 || d.MassDen <= 0 {
@@ -192,7 +203,7 @@ func TestProbeEngineSwitches(t *testing.T) {
 	}
 }
 
-// TestRecorderBoundarySampling runs the hybrid engine with a
+// TestRecorderBoundarySampling runs the auto engine with a
 // non-default ObserveEvery and checks the Recorder sampled at exactly
 // the multiples of the period — the skip-sampling engines must visit
 // the same boundary steps the naive engine would.

@@ -52,6 +52,9 @@ type Scheduler struct {
 // storage (ArcIndex), so construction allocates nothing beyond the
 // Scheduler itself.
 func NewScheduler(s *State, p Process) (*Scheduler, error) {
+	if p != VertexProcess && p != EdgeProcess {
+		return nil, fmt.Errorf("core: unknown process %v", p)
+	}
 	g := s.Graph()
 	if g == nil {
 		return nil, fmt.Errorf("core: scheduler requires a materialized CSR graph (implicit topology %q)", s.Topology().Name())

@@ -40,14 +40,19 @@ type Config struct {
 	// Rule is the update rule. Default DIV{}.
 	Rule Rule
 	// Engine selects the stepping strategy: EngineNaive (default)
-	// simulates every scheduler invocation, EngineFast skip-samples idle
-	// steps through the discordance engine (SparseState, sparse.go),
-	// EngineAuto switches between the two as discordance falls and
-	// rebounds. All engines realize the exact same process
+	// simulates every scheduler invocation in a sequential loop;
+	// EngineFast, and EngineAuto on a PairwiseRule, run the trial as
+	// trial 0 of a one-row RunBlock, where EngineFast skip-samples idle
+	// steps through the discordance engine (SparseState, sparse.go) and
+	// EngineAuto switches between blocked stepping and that engine as
+	// discordance falls and rebounds. EngineAuto on any other rule is
+	// the sequential loop. All engines realize the exact same process
 	// distribution; only EngineNaive's seeded trajectories are
 	// byte-stable across engine changes.
 	Engine Engine
-	// Seed seeds the run's private PCG stream.
+	// Seed seeds the run's randomness: the sequential loop's private PCG
+	// stream (rng.New(Seed)), or, for the one-row RunBlock, the Philox
+	// counter stream keyed by (Seed, 0).
 	Seed uint64
 	// MaxSteps caps the run. 0 means 200·n² steps, far beyond the
 	// o(n²) reduction plus O(n²) final-stage times on expanders.
@@ -66,7 +71,7 @@ type Config struct {
 	// events.
 	ObserveEvery int64
 	// Probe, when non-nil, receives structured engine events: step
-	// batches, hybrid engine switches, discordance-mass samples, stage
+	// batches, block↔sparse switches, discordance-mass samples, stage
 	// transitions, and the final resolution (package internal/obs). A
 	// nil Probe costs nothing — emission sites reduce to one
 	// predictable branch per simulated step — and a non-nil Probe never
@@ -77,12 +82,13 @@ type Config struct {
 	// changes (the paper's {1,2,5}→{1,2,4}→… evolution).
 	TraceSupport bool
 	// Scratch, when non-nil, supplies reusable per-worker state: the
-	// run resets the scratch's State, SparseState, and RNG in place
-	// instead of allocating fresh ones, making repeated trials on the
-	// same graph O(1) allocations each. The scratch must be bound to
-	// the same Graph (NewScratch(cfg.Graph)) and must not be shared
-	// across goroutines; a seeded run produces a byte-identical Result
-	// with and without it.
+	// sequential loop resets the scratch's State and RNG in place, and
+	// the one-row RunBlock reuses its block arena (opinion slab, row
+	// State, SparseStates), instead of allocating fresh ones, making
+	// repeated trials on the same graph O(1) allocations each. The
+	// scratch must be bound to the same Graph (NewScratch(cfg.Graph))
+	// and must not be shared across goroutines; a seeded run produces a
+	// byte-identical Result with and without it.
 	Scratch *Scratch
 }
 
@@ -131,6 +137,22 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Graph == nil {
 		return Result{}, fmt.Errorf("core: Config.Graph is required")
 	}
+	rule := cfg.Rule
+	if rule == nil {
+		rule = DIV{}
+	}
+	_, pairwise := rule.(PairwiseRule)
+	switch cfg.Engine {
+	case EngineNaive:
+	case EngineFast:
+		return runBlock(cfg, rule)
+	case EngineAuto:
+		if pairwise {
+			return runBlock(cfg, rule)
+		}
+	default:
+		return Result{}, fmt.Errorf("core: unknown engine %d", int(cfg.Engine))
+	}
 	var s *State
 	var err error
 	if cfg.Scratch != nil {
@@ -140,10 +162,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	rule := cfg.Rule
-	if rule == nil {
-		rule = DIV{}
 	}
 	sched, err := NewScheduler(s, cfg.Process)
 	if err != nil {
@@ -163,11 +181,6 @@ func Run(cfg Config) (Result, error) {
 		r = cfg.Scratch.Rand(cfg.Seed)
 	} else {
 		r = rng.New(cfg.Seed)
-	}
-
-	mode, sp, err := engineFor(cfg, s, rule)
-	if err != nil {
-		return Result{}, err
 	}
 
 	res := Result{
@@ -206,7 +219,6 @@ func Run(cfg Config) (Result, error) {
 
 	env := &loopEnv{
 		s:            s,
-		scratch:      cfg.Scratch,
 		sched:        sched,
 		rule:         rule,
 		r:            r,
@@ -231,14 +243,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		},
 	}
-	switch mode {
-	case stepFast:
-		sp.loop(env, rule.(PairwiseRule))
-	case stepHybrid:
-		env.hybridLoop(rule.(PairwiseRule), cfg.Process)
-	default:
-		env.naiveLoop()
-	}
+	env.naiveLoop()
 
 	res.Steps = s.Steps()
 	res.FinalMin, res.FinalMax = s.Min(), s.Max()
@@ -258,14 +263,43 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// loopEnv carries the per-run context shared by the stepping engines:
-// the naive per-invocation loop below, the skip-sampling fast loop in
-// sparse.go, and the hybrid in hybrid.go. All have identical observable
-// behaviour — the same trajectory law, stopping times, milestone
-// recording, and observer call sites.
+// runBlock runs cfg as trial 0 of a one-row RunBlock: Run's path for
+// EngineFast, and for EngineAuto on a PairwiseRule. Its stream is keyed
+// by (Seed, 0), and its Init copies cfg.Initial.
+func runBlock(cfg Config, rule Rule) (Result, error) {
+	if n := cfg.Graph.N(); len(cfg.Initial) != n {
+		return Result{}, fmt.Errorf("core: %d initial opinions for %d vertices", len(cfg.Initial), n)
+	}
+	bc := BlockConfig{
+		Graph:    cfg.Graph,
+		Process:  cfg.Process,
+		Rule:     rule,
+		Engine:   cfg.Engine,
+		Stop:     cfg.Stop,
+		MaxSteps: cfg.MaxSteps,
+		Seed:     cfg.Seed,
+		Init: func(_ int, dst []int, _ *rand.Rand) error {
+			copy(dst, cfg.Initial)
+			return nil
+		},
+		Probe:        obs.ConstMaker(cfg.Probe),
+		ObserveEvery: cfg.ObserveEvery,
+		TraceSupport: cfg.TraceSupport,
+		Scratch:      cfg.Scratch,
+		Block:        1,
+	}
+	if cfg.Observer != nil {
+		bc.Observer = func(_ int, s *State) bool { return cfg.Observer(s) }
+	}
+	var out [1]Result
+	err := RunBlock(bc, 0, 1, out[:])
+	return out[0], err
+}
+
+// loopEnv carries the per-run context of the sequential naive loop
+// below.
 type loopEnv struct {
 	s            *State
-	scratch      *Scratch // nil = allocate engine state per run
 	sched        *Scheduler
 	rule         Rule
 	r            *rand.Rand
@@ -282,7 +316,7 @@ type loopEnv struct {
 
 // stopMet evaluates a stopping condition against the current state.
 // Every condition is a predicate on the opinion support set, which is
-// why engines only re-check it when SupportVersion changes.
+// why the stepping loops only re-check it when SupportVersion changes.
 func stopMet(s *State, stop StopCondition) bool {
 	switch stop {
 	case UntilConsensus:

@@ -14,13 +14,13 @@ import (
 var scratchReuseTotal = obs.Default.Counter("core_scratch_reuse_total")
 
 // Scratch is a per-worker arena of reusable simulation state for
-// repeated trials on one graph: the State, the RNG, an initial-opinion
-// buffer, and the blocked-kernel arena — which also holds the
-// discordance engine's SparseStates that EngineFast and EngineAuto
-// reseed on both entry points — are allocated once and reset in place
-// by each run, so a steady-state trial performs O(1) allocations
-// instead of O(n). Wire one into Config.Scratch (the sim harness's
-// TrialsWorker does this per worker goroutine).
+// repeated trials on one graph: the sequential loop's State and RNG, an
+// initial-opinion buffer, and the blocked-kernel arena — which also
+// holds the discordance engine's SparseStates that EngineFast and
+// EngineAuto reseed — are allocated once and reset in place by each
+// run, so a steady-state trial performs O(1) allocations instead of
+// O(n). Wire one into Config.Scratch or BlockConfig.Scratch (the sim
+// harness's TrialsWorker does this per worker goroutine).
 //
 // A Scratch is not safe for concurrent use: it must be owned by a
 // single goroutine, and at most one Run may use it at a time. Reuse is
@@ -115,22 +115,4 @@ func (sc *Scratch) blockArenaFor(t graph.Topology) (*blockArena, error) {
 		sc.blk = newBlockArena(t)
 	}
 	return sc.blk, nil
-}
-
-// sparseFor returns the discordance engine's SparseState for s under
-// proc, seeded against s's current opinions: the single construction
-// funnel for the sequential fast and hybrid loops. With a scratch the
-// state comes from (and stays in) the scratch's arena, so repeated
-// trials reuse its O(n) position index: a reseeding clears only the
-// previous members' entries and reads the opinion row once, instead of
-// allocating and filling the index.
-func sparseFor(sc *Scratch, s *State, proc Process) (*SparseState, error) {
-	if sc == nil || s != sc.state {
-		return NewSparseState(s, proc)
-	}
-	a, err := sc.blockArenaFor(sc.topo)
-	if err != nil {
-		return nil, err
-	}
-	return a.sparseFor(s, proc)
 }

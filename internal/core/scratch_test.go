@@ -43,7 +43,7 @@ func replayTrial(t *testing.T, g *graph.Graph, proc Process, engine Engine, seed
 // run on a Scratch dirtied by an unrelated earlier trial must reproduce
 // the fresh-allocation Result exactly — same winner, same step counts,
 // same support trace — for every engine and process. The hybrid knobs
-// are shrunk so EngineAuto genuinely crosses the naive↔fast boundary
+// are shrunk so EngineAuto genuinely crosses the block↔sparse boundary
 // (and therefore exercises the arena SparseState reseed path); not
 // parallel for that reason.
 func TestScratchReplayByteIdentical(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 // EngineAuto: geometric skip-sampling over an incrementally maintained
 // set of the discordant vertices, on any graph.Topology and either
 // opinion representation, with memory proportional to the live
-// discordance rather than to the arc count. Both entry points use it:
-// core.Run's sequential loops (loop below, hybridLoop in hybrid.go) and
-// the blocked kernel's hand-off (retireSparse below).
+// discordance rather than to the arc count. The blocked kernel hands a
+// trial to it (retireSparse below); core.Run's fast and auto engines
+// reach it the same way, as a one-row RunBlock.
 //
 // The observation behind it is the paper's own: once opinions are
 // locally similar, almost every scheduler invocation draws a pair
@@ -80,7 +80,7 @@ import (
 //	diff(v)/d(v).
 //
 // Rejection rounds are tallied locally and published to
-// sampler_bucket_draws_total when a stepping loop exits, so attempts
+// sampler_bucket_draws_total when a sparse session ends, so attempts
 // per active step can be read off the counters.
 //
 // Distribution- not byte-equivalence: the naive kernels realize an
@@ -423,12 +423,11 @@ func (sp *SparseState) dominant() (int32, bool) {
 }
 
 // rebind repoints the set at another State over the same topology. The
-// blocked kernel's arena (which Scratch also lends to the sequential
-// loops) keeps ONE SparseState per process and lends it to whichever
-// trial is stepping; a Seed after rebinding rebuilds everything
-// opinion-dependent. The caller must not leave a stale discordance hook
-// on the previous state (State.ResetTo clears it; detachDiscordance
-// does too).
+// blocked kernel's arena keeps ONE SparseState per process and lends it
+// to whichever trial is stepping; a Seed after rebinding rebuilds
+// everything opinion-dependent. The caller must not leave a stale
+// discordance hook on the previous state (State.ResetTo clears it;
+// detachDiscordance does too).
 func (sp *SparseState) rebind(s *State) {
 	if s.Topology() != sp.topo {
 		panic("core: SparseState.rebind across topologies")
@@ -702,8 +701,8 @@ func (sp *SparseState) nthDiscordant(v, j int) int {
 }
 
 // flushDraws publishes the accumulated rejection rounds to the
-// process-wide registry. Called once per loop exit so the hot path
-// touches only the local counter.
+// process-wide registry. Called once per sparse session so the hot
+// path touches only the local counter.
 func (sp *SparseState) flushDraws() {
 	if sp.draws != 0 {
 		bucketDrawsTotal.Add(sp.draws)
@@ -802,81 +801,8 @@ func geomSkip(r *rand.Rand, num, den, limit int64) int64 {
 	return int64(k)
 }
 
-// emitFastCadence samples the exact discordance mass into the probe
-// and flushes the current step batch. Called on the observeEvery
-// cadence while the set is authoritative; probe must be non-nil.
-func (e *loopEnv) emitFastCadence(sp *SparseState) {
-	num, den := sp.ActiveMass()
-	e.probe.Discordance(obs.Discordance{
-		Step:    e.s.Steps(),
-		Edges:   sp.DiscordantEdges(),
-		MassNum: num,
-		MassDen: den,
-	})
-	e.flushBatch(obs.RegimeFast)
-	e.advanceEmit()
-}
-
-// loop is EngineFast's replacement for the naive per-step loop in
-// run.go: identical observable behaviour, idle steps skipped in bulk.
-func (sp *SparseState) loop(e *loopEnv, rule PairwiseRule) {
-	s := e.s
-	sp.attachDiscordance()
-	prevVersion := s.SupportVersion()
-	for !e.res.Aborted && !e.done() && s.Steps() < e.maxSteps {
-		// The farthest this iteration may advance: never past MaxSteps,
-		// and never past the next observer boundary (idle steps do not
-		// change the state, but the naive engine still invokes the
-		// observer there, so boundaries must be visited).
-		limit := e.maxSteps - s.Steps()
-		if e.observer != nil {
-			if toBoundary := e.observeEvery - s.Steps()%e.observeEvery; toBoundary < limit {
-				limit = toBoundary
-			}
-		}
-		num, den := sp.ActiveMass()
-		k := limit // no discordant pair anywhere: every draw is idle
-		if num > 0 {
-			k = geomSkip(e.r, num, den, limit)
-		}
-		if k < limit {
-			// Next active draw lands inside the window: account for the
-			// k skipped idle steps plus the active one, then apply it.
-			s.addSteps(k + 1)
-			if e.probe != nil {
-				e.batch.Skipped += k
-				e.batch.Active++
-			}
-			sp.activeStep(e.r, rule)
-			if s.SupportVersion() != prevVersion {
-				e.onSupport()
-				prevVersion = s.SupportVersion()
-			}
-		} else {
-			// All idle up to the cap: jump straight to it. Memorylessness
-			// of the geometric makes the fresh draw next iteration exact.
-			s.addSteps(limit)
-			if e.probe != nil {
-				e.batch.Skipped += limit
-			}
-		}
-		if e.probe != nil && s.Steps() >= e.nextEmit {
-			e.emitFastCadence(sp)
-		}
-		if e.observer != nil && s.Steps()%e.observeEvery == 0 {
-			if !e.observer(s) {
-				e.res.Aborted = true
-			}
-		}
-	}
-	e.flushBatch(obs.RegimeFast)
-	sp.detachDiscordance()
-	sp.flushDraws()
-}
-
 // flushSparseRow emits the row's accumulated sparse-regime step batch
-// plus a discordance sample, and realigns the emit boundary — the
-// blocked-kernel counterpart of loopEnv.emitFastCadence.
+// plus a discordance sample, and realigns the emit boundary.
 func (b *blockRun) flushSparseRow(row *blockRow, sp *SparseState) {
 	if row.probe == nil {
 		return
@@ -898,32 +824,30 @@ func (b *blockRun) flushSparseRow(row *blockRow, sp *SparseState) {
 	row.nextEmit = (to/b.observeEvery + 1) * b.observeEvery
 }
 
-// retireSparse finishes row's trial under skip-sampling, with the same
-// loop structure as SparseState.loop: geometric skips bounded by
-// MaxSteps only (probe batches flush at the first step past the emit
-// boundary, never by clamping the skip — a probe must not change the
-// trajectory), exact conditional sampling for active steps, stop checks
-// on support changes only. When allowRebound is set (EngineAuto) and
-// the exact mass rebounds past the hybrid exit threshold, the row
-// returns to blocked stepping and retireSparse reports true; under
-// EngineFast the loop runs to the stop condition or the step cap.
+// retireSparse finishes row's trial under skip-sampling: geometric
+// skips bounded by MaxSteps and, with an observer, by the next
+// ObserveEvery boundary (probe batches flush at the first step past the
+// emit boundary, never by clamping the skip — a probe must not change
+// the trajectory), exact conditional sampling for active steps, stop
+// checks on support changes only. When allowRebound is set (EngineAuto)
+// and the exact mass rebounds past the hybrid exit threshold before the
+// trial ends, the row returns to blocked stepping and retireSparse
+// reports true; under EngineFast the loop runs to the stop condition or
+// the step cap.
 func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound bool) (rebound bool) {
 	s := row.s
 	sp.attachDiscordance()
 	span := sparseSessionTimer.Start()
 	probe := row.probe != nil
-	for !row.done {
+	for !row.done && !rebound {
 		if s.Steps() >= b.maxSteps {
 			row.done = true
 			break
 		}
-		// The skip limit depends only on MaxSteps, never on the probe
-		// cadence: clamping to nextEmit would segment the geometric draw
-		// differently with a probe attached, consuming randomness on the
-		// probe's behalf and breaking the probe-neutrality contract.
-		// Batches are instead emitted at the first opportunity past the
-		// boundary.
 		limit := b.maxSteps - s.Steps()
+		if b.observer != nil {
+			limit = min(limit, b.observeEvery-s.Steps()%b.observeEvery)
+		}
 		num, den := sp.ActiveMass()
 		k := limit // no discordant pair anywhere: every draw is idle
 		if num > 0 {
@@ -937,21 +861,24 @@ func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound boo
 			}
 			sp.activeStep(row.r, b.pw)
 			b.checkMajority(row)
-			if s.SupportVersion() != row.prevVer && b.afterSupport(row) {
-				break
+			if s.SupportVersion() != row.prevVer {
+				b.afterSupport(row)
 			}
-			if allowRebound && massAbove(sp, b.exitScale) {
-				rebound = true
-				break
-			}
+			rebound = !row.done && allowRebound && massAbove(sp, b.exitScale)
 		} else {
 			s.addSteps(limit)
 			if probe {
 				row.batch.Skipped += limit
 			}
 		}
-		if probe && s.Steps() >= row.nextEmit {
+		if b.observer != nil {
+			b.observe(row)
+		}
+		if probe && !row.done && !rebound && s.Steps() >= row.nextEmit {
 			b.flushSparseRow(row, sp)
+		}
+		if s.Steps() >= b.maxSteps {
+			row.done = true
 		}
 	}
 	if probe {
@@ -967,5 +894,5 @@ func (b *blockRun) retireSparse(row *blockRow, sp *SparseState, allowRebound boo
 	sp.flushDraws()
 	sparseSetPeak.SetMax(sp.MemBytes())
 	span.End()
-	return rebound
+	return rebound && !row.done
 }

@@ -69,9 +69,9 @@ type BenchE2 struct {
 	Trials            int     `json:"trials"`
 	Steps             int64   `json:"steps"`
 	TrialsPerSecFresh float64 `json:"trials_per_sec_fresh"`
-	// TrialsPerSecReused is the sequential pipeline's throughput with
-	// per-worker Scratch reuse — the pre-blocked-kernel configuration,
-	// kept for continuity with earlier reports.
+	// TrialsPerSecReused is core.Run's throughput with per-worker
+	// Scratch reuse — one trial per call, which for the auto engine is a
+	// one-row RunBlock — kept for continuity with earlier reports.
 	TrialsPerSecReused float64 `json:"trials_per_sec_reused"`
 	NsPerStepReused    float64 `json:"ns_per_step_reused"`
 	// BlockTrialsPerSec maps block size B to the blocked kernel's

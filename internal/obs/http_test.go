@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -149,5 +151,34 @@ func TestCollectProvenance(t *testing.T) {
 	}
 	if ft.Command != p.Command || ft.Seed != p.Seed {
 		t.Fatal("ForTrace must keep the identity fields")
+	}
+}
+
+// TestCollectProvenanceGitFallback: a binary without a VCS stamp (a
+// test binary, or go run) records the HEAD that git reports for its
+// working directory, and "unknown" outside a checkout.
+func TestCollectProvenanceGitFallback(t *testing.T) {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		t.Skipf("not in a git checkout: %v", err)
+	}
+	head := strings.TrimSpace(string(out))
+	if got := CollectProvenance("divtest", 1, "auto").GitSHA; got != head {
+		t.Errorf("GitSHA = %q, want HEAD %q", got, head)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	}()
+	if got := gitHead(); got != "unknown" {
+		t.Errorf("gitHead outside a checkout = %q, want unknown", got)
 	}
 }

@@ -3,9 +3,10 @@ package obs
 // Probe receives structured events from a running voting process. The
 // core engines call it at semantic points — not on every scheduler
 // draw — so a probe sees the *decisions* a run made: how many draws
-// each engine regime simulated or skipped, when the hybrid engine
-// switched regimes and why, how the discordant-edge mass evolved, when
-// the opinion support changed, and how the run resolved.
+// each engine regime simulated or skipped, when a trial handed off to
+// the discordance engine or came back and why, how the discordant-edge
+// mass evolved, when the opinion support changed, and how the run
+// resolved.
 //
 // Implementations must be safe for use from a single goroutine per
 // run; when runs execute in parallel (sim.Trials) each run gets its
@@ -20,12 +21,12 @@ type Probe interface {
 	// StepBatch reports a contiguous run of scheduler invocations
 	// [FromStep, ToStep) attributed to one engine regime.
 	StepBatch(b StepBatch)
-	// EngineSwitch reports a hybrid (EngineAuto) regime change,
-	// including the initial-probe decision at step 0.
+	// EngineSwitch reports a regime change: a hand-off from blocked to
+	// sparse stepping, or a rebound back.
 	EngineSwitch(sw EngineSwitch)
 	// Discordance reports a sample of the exact discordant-edge mass.
-	// Only engines that maintain the mass incrementally emit it (fast,
-	// and hybrid while in fast mode).
+	// Only the discordance engine maintains the mass incrementally, so
+	// only the sparse regime emits it.
 	Discordance(d Discordance)
 	// Stage reports a change of the opinion-support set.
 	Stage(st Stage)
@@ -33,14 +34,15 @@ type Probe interface {
 	Done(d Done)
 }
 
-// Engine regime labels used in events. RegimeNaive and RegimeFast match
-// core.Engine's naive and fast strings and label core.Run's sequential
-// loops, where RegimeFast is the discordance engine (core/sparse.go);
-// the hybrid engine attributes each batch to the regime that executed
-// it.
+// Engine regime labels used in events; each batch is attributed to the
+// regime that executed it. Traces written before core.Run's fast and
+// auto engines became one-row blocked runs also carry "fast" (their
+// sequential skip-sampling loop) and the switch reason "probe"; ReadTrace
+// decodes those unchanged.
 const (
+	// RegimeNaive labels core.Run's sequential per-invocation loop
+	// (EngineNaive, and EngineAuto on a non-pairwise rule).
 	RegimeNaive = "naive"
-	RegimeFast  = "fast"
 	// RegimeBlock labels step batches executed by the blocked multi-trial
 	// kernel (core/block.go): naive-law stepping, interleaved across a
 	// block of trials and flushed at chunk granularity.
@@ -54,14 +56,12 @@ const (
 
 // Switch reasons.
 const (
-	// SwitchProbe: the hybrid engine's initial probe found the start
-	// state already idle-dominated and entered fast mode at step 0.
-	SwitchProbe = "probe"
-	// SwitchWindow: a windowed idle-fraction estimate triggered a
-	// naive→fast entry.
+	// SwitchWindow: a hand-off to the discordance engine — under
+	// EngineAuto triggered by a windowed idle-fraction estimate, under
+	// EngineFast at the trial's start.
 	SwitchWindow = "window"
 	// SwitchRebound: the exact discordance mass rebounded past the exit
-	// threshold and the engine fell back to naive stepping.
+	// threshold and the trial went back to blocked stepping.
 	SwitchRebound = "rebound"
 )
 
@@ -73,18 +73,18 @@ const (
 type StepBatch struct {
 	FromStep int64  `json:"from"`
 	ToStep   int64  `json:"to"`
-	Engine   string `json:"engine"` // RegimeNaive, RegimeFast, RegimeBlock or RegimeSparse
+	Engine   string `json:"engine"` // RegimeNaive, RegimeBlock or RegimeSparse
 	Active   int64  `json:"active"`
 	Idle     int64  `json:"idle,omitempty"`
 	Skipped  int64  `json:"skipped,omitempty"`
 }
 
-// EngineSwitch records one hybrid regime change at Step. For
-// naive→fast entries, WindowDraws/WindowActive carry the triggering
-// window statistics (zero for the step-0 probe entry, which samples
-// arcs instead of draws); for fast→naive exits CooldownWindows is the
-// re-entry backoff that was scheduled. MassNum/MassDen is the exact
-// active-draw probability at the switch point.
+// EngineSwitch records one regime change at Step. WindowDraws and
+// WindowActive carry a triggering window's statistics (traces from the
+// old sequential loop set them; blocked hand-offs leave them zero); for
+// rebounds Cooldown is the re-entry backoff that was scheduled.
+// MassNum/MassDen is the exact active-draw probability at the switch
+// point.
 type EngineSwitch struct {
 	Step         int64  `json:"step"`
 	From         string `json:"from"`
@@ -185,18 +185,18 @@ func Multi(probes ...Probe) Probe {
 
 // metricsProbe aggregates probe events into a Registry.
 type metricsProbe struct {
-	steps, active, idle, skipped        *Counter
-	fastSteps, sparseSteps              *Counter
-	switches, toFast, toSparse, toNaive *Counter
-	stages, twoAdjacent                 *Counter
-	runs, consensus, aborted            *Counter
-	runSteps                            *Histogram
-	discordEdges                        *Gauge
+	steps, active, idle, skipped *Counter
+	sparseSteps                  *Counter
+	switches, toSparse, toNaive  *Counter
+	stages, twoAdjacent          *Counter
+	runs, consensus, aborted     *Counter
+	runSteps                     *Histogram
+	discordEdges                 *Gauge
 }
 
 // MetricsProbe returns a Probe that aggregates events into reg under
 // the div_* namespace: total/active/idle/skipped step counters (plus
-// the fast- and sparse-regime shares), engine-switch counters by
+// the sparse-regime share), engine-switch counters by
 // direction, stage and endgame-entry counters, per-run step
 // histograms, and a gauge holding the last sampled discordant-edge
 // count. It is safe to share across concurrent runs.
@@ -206,10 +206,8 @@ func MetricsProbe(reg *Registry) Probe {
 		active:       reg.Counter("div_steps_active_total"),
 		idle:         reg.Counter("div_steps_idle_total"),
 		skipped:      reg.Counter("div_steps_skipped_total"),
-		fastSteps:    reg.Counter("div_steps_fast_regime_total"),
 		sparseSteps:  reg.Counter("div_steps_sparse_regime_total"),
 		switches:     reg.Counter("div_engine_switches_total"),
-		toFast:       reg.Counter("div_engine_switches_to_fast_total"),
 		toSparse:     reg.Counter("div_engine_switches_to_sparse_total"),
 		toNaive:      reg.Counter("div_engine_switches_to_naive_total"),
 		stages:       reg.Counter("div_stage_transitions_total"),
@@ -228,22 +226,16 @@ func (m *metricsProbe) StepBatch(b StepBatch) {
 	m.active.Add(b.Active)
 	m.idle.Add(b.Idle)
 	m.skipped.Add(b.Skipped)
-	switch b.Engine {
-	case RegimeFast:
-		m.fastSteps.Add(total)
-	case RegimeSparse:
+	if b.Engine == RegimeSparse {
 		m.sparseSteps.Add(total)
 	}
 }
 
 func (m *metricsProbe) EngineSwitch(sw EngineSwitch) {
 	m.switches.Inc()
-	switch sw.To {
-	case RegimeFast:
-		m.toFast.Inc()
-	case RegimeSparse:
+	if sw.To == RegimeSparse {
 		m.toSparse.Inc()
-	default:
+	} else {
 		m.toNaive.Inc()
 	}
 }

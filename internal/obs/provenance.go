@@ -2,8 +2,10 @@ package obs
 
 import (
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"time"
 )
 
@@ -33,8 +35,10 @@ type Provenance struct {
 	Host       string `json:"host,omitempty"`
 
 	// GitSHA is the VCS revision stamped into the binary by the go
-	// toolchain ("unknown" when built without VCS metadata, e.g. test
-	// binaries); GitDirty marks uncommitted changes at build time.
+	// toolchain; binaries built without VCS metadata (go run, test
+	// binaries) ask git for the checked-out HEAD instead, and record
+	// "unknown" outside a git checkout. GitDirty marks uncommitted
+	// changes at build time (stamped binaries only).
 	GitSHA   string `json:"git_sha"`
 	GitDirty bool   `json:"git_dirty,omitempty"`
 
@@ -78,7 +82,21 @@ func CollectProvenance(command string, seed uint64, engine string) Provenance {
 			}
 		}
 	}
+	if p.GitSHA == "unknown" {
+		p.GitSHA = gitHead()
+	}
 	return p
+}
+
+// gitHead asks git for the commit checked out in the working
+// directory, or returns "unknown" when there is none (no repository,
+// no git).
+func gitHead() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // ForTrace returns a copy with the fields that legitimately vary

@@ -9,8 +9,8 @@ import (
 
 // driveProbe feeds one event of every kind through p.
 func driveProbe(p Probe) {
-	p.StepBatch(StepBatch{FromStep: 0, ToStep: 100, Engine: RegimeNaive, Active: 60, Idle: 40})
-	p.EngineSwitch(EngineSwitch{Step: 100, From: RegimeNaive, To: RegimeFast, Reason: SwitchProbe, MassNum: 3, MassDen: 80})
+	p.StepBatch(StepBatch{FromStep: 0, ToStep: 100, Engine: RegimeBlock, Active: 60, Idle: 40})
+	p.EngineSwitch(EngineSwitch{Step: 100, From: RegimeBlock, To: RegimeSparse, Reason: SwitchWindow, MassNum: 3, MassDen: 80})
 	p.Discordance(Discordance{Step: 150, Edges: 12, MassNum: 3, MassDen: 80})
 	p.Stage(Stage{Step: 180, Support: 2, Min: 1, Max: 2, TwoAdjacent: true})
 	p.Done(Done{Step: 200, Winner: 2, Consensus: true})
@@ -46,7 +46,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if b := events[0].StepBatch; b == nil || b.Active != 60 || b.Idle != 40 || b.ToStep != 100 {
 		t.Errorf("batch payload = %+v", events[0].StepBatch)
 	}
-	if sw := events[1].Switch; sw == nil || sw.Reason != SwitchProbe || sw.To != RegimeFast {
+	if sw := events[1].Switch; sw == nil || sw.Reason != SwitchWindow || sw.To != RegimeSparse {
 		t.Errorf("switch payload = %+v", events[1].Switch)
 	}
 	if d := events[3].Stage; d == nil || !d.TwoAdjacent {
@@ -143,19 +143,19 @@ func TestProbeMakers(t *testing.T) {
 func TestMetricsProbe(t *testing.T) {
 	reg := NewRegistry()
 	p := MetricsProbe(reg)
-	p.StepBatch(StepBatch{FromStep: 0, ToStep: 100, Engine: RegimeFast, Active: 10, Skipped: 90})
-	p.EngineSwitch(EngineSwitch{Step: 100, From: RegimeFast, To: RegimeNaive, Reason: SwitchRebound})
+	p.StepBatch(StepBatch{FromStep: 0, ToStep: 100, Engine: RegimeSparse, Active: 10, Skipped: 90})
+	p.EngineSwitch(EngineSwitch{Step: 100, From: RegimeSparse, To: RegimeBlock, Reason: SwitchRebound})
 	p.Discordance(Discordance{Step: 100, Edges: 17})
 	p.Done(Done{Step: 100, Winner: 1, Consensus: true})
 
 	for name, want := range map[string]int64{
-		"div_steps_total":             100,
-		"div_steps_active_total":      10,
-		"div_steps_skipped_total":     90,
-		"div_steps_fast_regime_total": 100,
-		"div_engine_switches_total":   1,
-		"div_runs_total":              1,
-		"div_runs_consensus_total":    1,
+		"div_steps_total":               100,
+		"div_steps_active_total":        10,
+		"div_steps_skipped_total":       90,
+		"div_steps_sparse_regime_total": 100,
+		"div_engine_switches_total":     1,
+		"div_runs_total":                1,
+		"div_runs_consensus_total":      1,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -166,5 +166,33 @@ func TestMetricsProbe(t *testing.T) {
 	}
 	if got := reg.Histogram("div_run_steps").Count(); got != 1 {
 		t.Errorf("div_run_steps count = %d", got)
+	}
+}
+
+// TestReadTraceOldRegimes: traces written by core.Run's former
+// sequential fast and hybrid loops label batches "fast" and step-0
+// entries with the switch reason "probe". Those labels are no longer
+// emitted, but such traces must still decode, field for field.
+func TestReadTraceOldRegimes(t *testing.T) {
+	old := `{"ev":"switch","trial":0,"seed":7,"switch":{"step":0,"from":"naive","to":"fast","reason":"probe","mass_num":3,"mass_den":80}}
+{"ev":"batch","trial":0,"seed":7,"batch":{"from":0,"to":100,"engine":"fast","active":10,"skipped":90}}
+{"ev":"switch","trial":0,"seed":7,"switch":{"step":100,"from":"fast","to":"naive","reason":"window","window_draws":4096,"window_active":12,"mass_num":1,"mass_den":80}}
+`
+	events, err := ReadTrace(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 3 {
+		t.Fatalf("decoded %d events, want 3", len(events))
+	}
+	want := EngineSwitch{Step: 0, From: "naive", To: "fast", Reason: "probe", MassNum: 3, MassDen: 80}
+	if sw := events[0].Switch; sw == nil || *sw != want {
+		t.Errorf("switch = %+v, want %+v", events[0].Switch, want)
+	}
+	if b := events[1].StepBatch; b == nil || b.Engine != "fast" || b.Skipped != 90 {
+		t.Errorf("batch = %+v", events[1].StepBatch)
+	}
+	if sw := events[2].Switch; sw == nil || sw.WindowDraws != 4096 || sw.WindowActive != 12 {
+		t.Errorf("switch = %+v", events[2].Switch)
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Regenerates results/observability.txt: a traced final-stage dissenter
-# run (regular:10000,8, 20 dissenters, hybrid engine) showing the
+# run (regular:10000,8, 20 dissenters, auto engine) showing the
 # engine-switch timeline, the discordance trajectory, and the metrics
 # snapshot. Also asserts the trace is byte-identical across two
 # invocations — the reproducibility guarantee DESIGN.md §7 documents.
@@ -23,9 +23,10 @@ cmp "$TMP/a.jsonl" "$TMP/b.jsonl" || {
 sed "s|$TMP/a.jsonl|run.jsonl|" "$TMP/stdout.txt" >"$TMP/stdout.clean" &&
     mv "$TMP/stdout.clean" "$TMP/stdout.txt"
 
-# A uniform 5-opinion start exercises the full hybrid timeline: naive
-# until the windowed active-fraction trigger, fast until a discordance
-# rebound, back to naive under cooldown, and fast again to the finish.
+# A uniform 5-opinion start exercises the full auto timeline: blocked
+# stepping until the windowed active-fraction trigger, sparse until a
+# discordance rebound, blocked again under cooldown, and sparse again to
+# the finish.
 go run ./cmd/divsim -graph regular:4000,8 -k 5 -seed 3 -engine auto \
     -trace "$TMP/k5.jsonl" >/dev/null
 
@@ -44,9 +45,9 @@ go run ./cmd/divsim -graph regular:4000,8 -k 5 -seed 3 -engine auto \
     echo
     grep '"ev":"switch"' "$TMP/a.jsonl"
     echo
-    echo "## Full hybrid timeline on a uniform 5-opinion start"
-    echo "## (divsim -graph regular:4000,8 -k 5 -seed 3): window entry,"
-    echo "## rebound exit with cooldown, window re-entry"
+    echo "## Full auto timeline on a uniform 5-opinion start"
+    echo "## (divsim -graph regular:4000,8 -k 5 -seed 3): window hand-off,"
+    echo "## rebound with cooldown, second hand-off"
     echo
     grep '"ev":"switch"' "$TMP/k5.jsonl"
     echo
