@@ -42,7 +42,7 @@ bench-bign: ## regenerate the 'bign' section of BENCH_engine.json: million-verte
 bench-scaling: ## regenerate BENCH_engine.json with the multicore 'scaling' section: quick suite at widths {1,2,4,all} (GOMAXPROCS matched) + the CSR blocked-kernel block sweep B∈{1,2,4,8}
 	$(GO) run ./cmd/divbench -bench-json BENCH_engine.json -full -widths 1,2,4,0
 
-bench-build: ## regenerate the 'build' section of BENCH_engine.json: seeded parallel graph construction (gnp + randomRegular at n=10⁵,10⁶,10⁷) vs the frozen seed []Edge path, with per-phase nanos, edges/s, peak RSS, and the byte-identity + speedup + RSS gates
+bench-build: ## regenerate the 'build' section of BENCH_engine.json: seeded graph construction (gnp + randomRegular at n=10⁵,10⁶,10⁷) vs the frozen seed []Edge path, with per-phase nanos, edges/s, peak RSS, and the speedup + RSS gates
 	$(GO) run ./cmd/divbench -bench-build BENCH_engine.json -full
 
 bench-compare: ## measure a fresh full perf matrix and gate it against the checked-in BENCH_engine.json (exit 1 on >10% regressions; noise-prone on shared hardware, informative in CI)

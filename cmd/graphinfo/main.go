@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"div/internal/cli"
@@ -27,12 +26,11 @@ import (
 
 func main() {
 	var (
-		graphSpec    = flag.String("graph", "complete:100", "graph spec (see divsim -help)")
-		seed         = flag.Uint64("seed", 1, "seed for random families")
-		k            = flag.Int("k", 5, "opinion count for the λk feasibility line")
-		diameter     = flag.Bool("diameter", false, "also compute the exact diameter (O(n·m))")
-		implicit     = flag.Bool("implicit", false, "inspect the O(1)-state implicit backend for the spec instead of materializing it, and print the predicted-vs-actual CSR memory estimate")
-		buildWorkers = flag.Int("build-workers", runtime.GOMAXPROCS(0), "worker count for parallel graph construction (random families; 1 = serial, never changes the built graph)")
+		graphSpec = flag.String("graph", "complete:100", "graph spec (see divsim -help)")
+		seed      = flag.Uint64("seed", 1, "seed for random families")
+		k         = flag.Int("k", 5, "opinion count for the λk feasibility line")
+		diameter  = flag.Bool("diameter", false, "also compute the exact diameter (O(n·m))")
+		implicit  = flag.Bool("implicit", false, "inspect the O(1)-state implicit backend for the spec instead of materializing it, and print the predicted-vs-actual CSR memory estimate")
 	)
 	flag.Parse()
 
@@ -40,7 +38,7 @@ func main() {
 	if *implicit {
 		err = runImplicit(*graphSpec, *seed, *k)
 	} else {
-		err = run(*graphSpec, *seed, *k, *diameter, *buildWorkers)
+		err = run(*graphSpec, *seed, *k, *diameter)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphinfo:", err)
@@ -48,22 +46,18 @@ func main() {
 	}
 }
 
-func run(graphSpec string, seed uint64, k int, diameter bool, buildWorkers int) error {
+func run(graphSpec string, seed uint64, k int, diameter bool) error {
 	var stats graph.BuildStats
-	g, err := cli.ParseGraphOpts(graphSpec, seed, graph.BuildOpts{Workers: buildWorkers, Stats: &stats})
+	g, err := cli.ParseGraphOpts(graphSpec, seed, graph.BuildOpts{Stats: &stats})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("graph:      %v\n", g)
-	if stats.Stripes > 0 {
-		total := stats.TotalNanos()
-		fmt.Printf("build:      %v total, %d worker(s), %d stripe(s)\n",
-			time.Duration(total), stats.Workers, stats.Stripes)
+	if total := stats.TotalNanos(); total > 0 {
+		fmt.Printf("build:      %v total\n", time.Duration(total))
 		phase := func(name string, nanos int64) {
-			if total > 0 {
-				fmt.Printf("            %-8s %12v  (%4.1f%%)\n",
-					name, time.Duration(nanos), 100*float64(nanos)/float64(total))
-			}
+			fmt.Printf("            %-8s %12v  (%4.1f%%)\n",
+				name, time.Duration(nanos), 100*float64(nanos)/float64(total))
 		}
 		phase("sample", stats.SampleNanos)
 		phase("count", stats.CountNanos)
@@ -171,11 +165,9 @@ func runImplicit(graphSpec string, seed uint64, k int) error {
 		fmt.Printf("memory if materialized (actual):    unavailable (%v)\n", err)
 		return nil
 	}
-	ix := g.ArcIndex()
 	adjActual := 8 * int64(len(g.Offsets()))
 	adjActual += 4 * int64(len(g.Arcs()))
-	arcActual := 4 * int64(len(ix.Tails()))
-	arcActual += 4 * int64(len(ix.Rev()))
+	arcActual := 4 * int64(len(g.ArcIndex()))
 	fmt.Printf("memory if materialized (actual):    adjacency %s + arc index %s = %s\n",
 		fmtBytes(adjActual), fmtBytes(arcActual), fmtBytes(adjActual+arcActual))
 	return nil

@@ -5,7 +5,6 @@ package cli
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -23,15 +22,13 @@ import (
 //	ba:N,M              circulant:N,S1+S2+...
 //
 // Random families are seed-keyed — the built graph is a pure function
-// of (spec, seed), independent of machine width — and retry until
-// connected where applicable. Construction stripes over all cores; use
-// ParseGraphOpts to control build parallelism.
+// of (spec, seed) — and retry until connected where applicable.
 func ParseGraph(spec string, seed uint64) (*graph.Graph, error) {
-	return ParseGraphOpts(spec, seed, graph.BuildOpts{Workers: runtime.GOMAXPROCS(0)})
+	return ParseGraphOpts(spec, seed, graph.BuildOpts{})
 }
 
 // ParseGraphOpts is ParseGraph with an explicit assembler
-// configuration for the random families (worker count, stats capture).
+// configuration for the random families (per-phase stats capture).
 // Deterministic families ignore opts.
 func ParseGraphOpts(spec string, seed uint64, opts graph.BuildOpts) (*graph.Graph, error) {
 	name, argStr, _ := strings.Cut(spec, ":")

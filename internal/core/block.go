@@ -429,7 +429,7 @@ type blockRun struct {
 	// CSR lane-kernel constants: lane is true when the vertex/edge DIV
 	// kernels can run the inline 32-bit lane loops (n and arc count fit
 	// a half word — always, in practice, since vertices are int32); off
-	// and adj alias the graph's CSR arrays, tails the ArcIndex tails.
+	// and adj alias the graph's CSR arrays, tails its ArcIndex.
 	lane  bool
 	off   []int64
 	adj   []int32
@@ -577,7 +577,7 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 			b.off = g.Offsets()
 			b.adj = g.Arcs()
 			if b.kind == kindEdge {
-				b.tails = g.ArcTails()
+				b.tails = g.ArcIndex()
 			}
 		} else if b.kind == kindEdge {
 			at, ok := topo.(graph.ArcTopology)
@@ -784,14 +784,15 @@ func (b *blockRun) flushRow(row *blockRow) {
 // advanceChunk runs one chunk (hybridWindow draws, clipped at MaxSteps)
 // of row's trial through the specialized per-row kernel, then the
 // chunk-granular bookkeeping. The CSR DIV kinds normally go through
-// laneChunk instead; they land here only above the 32-bit gates, where
-// the full-word fallbacks apply.
+// laneChunk instead; only the edge kind lands here, above the 32-bit
+// arc gate, where the full-word fallback applies. The vertex kind
+// never does: with min degree ≥ 1 every vertex id appears in the int32
+// adjacency, so n < 2^32 on CSR, and implicit runs past the gate are
+// rejected at set-up.
 func (b *blockRun) advanceChunk(row *blockRow) {
 	switch b.kind {
 	case kindComplete:
 		b.chunkComplete(row)
-	case kindVertex:
-		b.chunkVertexBig(row)
 	case kindEdge:
 		b.chunkEdgeBig(row)
 	default:
@@ -830,7 +831,9 @@ func (b *blockRun) afterChunk(row *blockRow) {
 		case row.cooldown > 0:
 			row.cooldown--
 		case row.windowActive*b.enterScale < row.windowDraws:
+			// handoffSparse reports the window's tallies, then clears them.
 			row.wantFast = true
+			return
 		}
 		row.windowDraws, row.windowActive = 0, 0
 	}
@@ -909,63 +912,6 @@ func (b *blockRun) syncCompleteState(s *State, sumDelta int64) {
 	s.minIdx, s.maxIdx = minIdx, maxIdx
 }
 
-// chunkVertexBig is the fallback CSR DIV kernel for the vertex process
-// when the 32-bit lane gate fails: v uniform over vertices, then a
-// uniform neighbour via the graph's CSR arrays, full-word draws and
-// the general SetOpinion path. In practice unreachable (vertex ids are
-// int32), kept as the reference implementation of the lane loop's
-// semantics.
-func (b *blockRun) chunkVertexBig(row *blockRow) {
-	s := row.s
-	st := &row.stream
-	g := b.g
-	op := s.opinions
-	un := b.un
-	probe := row.probe != nil
-	limit := b.chunkLimit(s)
-	var pending int64
-	for i := int64(0); i < limit; i++ {
-		x := st.Uint64()
-		hi, lo := bits.Mul64(x, un)
-		if lo < un {
-			hi = st.Uint64nSlow(hi, lo, un)
-		}
-		v := int(hi)
-		deg := uint64(g.Degree(v))
-		x = st.Uint64()
-		hi, lo = bits.Mul64(x, deg)
-		if lo < deg {
-			hi = st.Uint64nSlow(hi, lo, deg)
-		}
-		w := g.Neighbor(v, int(hi))
-		pending++
-		xv := op[v]
-		if xv == op[w] {
-			if probe {
-				row.batch.Idle++
-			}
-			continue
-		}
-		row.windowActive++
-		s.addSteps(pending)
-		pending = 0
-		if probe {
-			row.batch.Active++
-		}
-		if xv < op[w] {
-			s.SetOpinion(v, int(xv)+1)
-		} else {
-			s.SetOpinion(v, int(xv)-1)
-		}
-		if s.SupportVersion() != row.prevVer && b.afterSupport(row) {
-			row.windowDraws += i + 1
-			return
-		}
-	}
-	s.addSteps(pending)
-	row.windowDraws += limit
-}
-
 // chunkEdgeBig is the fallback DIV kernel for the edge process when
 // the arc count exceeds the 32-bit lane gate (degree sum ≥ 2^32): one
 // full-word bounded draw over directed arcs, endpoints from the shared
@@ -973,7 +919,7 @@ func (b *blockRun) chunkVertexBig(row *blockRow) {
 func (b *blockRun) chunkEdgeBig(row *blockRow) {
 	s := row.s
 	st := &row.stream
-	tails, heads := b.g.ArcTails(), b.g.Arcs()
+	tails, heads := b.g.ArcIndex(), b.g.Arcs()
 	op := s.opinions
 	arcs := b.arcs
 	probe := row.probe != nil
@@ -1389,6 +1335,8 @@ func (b *blockRun) chunkGeneric(row *blockRow) {
 // property of (graph, process), not of the trial.
 func (b *blockRun) handoffSparse(row *blockRow) error {
 	row.wantFast = false
+	windowDraws, windowActive := row.windowDraws, row.windowActive
+	row.windowDraws, row.windowActive = 0, 0
 	sp, err := b.arena.sparseFor(row.s, b.proc)
 	if err != nil {
 		if b.engine == EngineFast {
@@ -1410,12 +1358,14 @@ func (b *blockRun) handoffSparse(row *blockRow) error {
 	if row.probe != nil {
 		num, den := sp.ActiveMass()
 		row.probe.EngineSwitch(obs.EngineSwitch{
-			Step:    s.Steps(),
-			From:    obs.RegimeBlock,
-			To:      obs.RegimeSparse,
-			Reason:  obs.SwitchWindow,
-			MassNum: num,
-			MassDen: den,
+			Step:         s.Steps(),
+			From:         obs.RegimeBlock,
+			To:           obs.RegimeSparse,
+			Reason:       obs.SwitchWindow,
+			WindowDraws:  windowDraws,
+			WindowActive: windowActive,
+			MassNum:      num,
+			MassDen:      den,
 		})
 	}
 	row.batch = obs.StepBatch{FromStep: s.Steps()}
@@ -1426,7 +1376,6 @@ func (b *blockRun) handoffSparse(row *blockRow) error {
 		if row.nextCooldown < hybridMaxCooldown {
 			row.nextCooldown *= 2
 		}
-		row.windowDraws, row.windowActive = 0, 0
 		if row.probe != nil {
 			num, den := sp.ActiveMass()
 			row.probe.EngineSwitch(obs.EngineSwitch{

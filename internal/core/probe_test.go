@@ -203,6 +203,35 @@ func TestProbeEngineSwitches(t *testing.T) {
 	}
 }
 
+// TestHandoffSwitchCarriesWindow: a one-row EngineAuto hand-off's
+// window switch reports the tallies of the blocked window that
+// triggered it — a full window whose active draws, scaled by the
+// enter threshold, fall below its draws.
+func TestHandoffSwitchCarriesWindow(t *testing.T) {
+	cfg := dissenterConfig(t, 20000, 8, 16, 0x3a11)
+	cfg.Engine = EngineAuto
+	var p collectingProbe
+	cfg.Probe = &p
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	enterScale := 2 * hybridCostRatio * hybridCostUnits(cfg.Graph)
+	windows := 0
+	for i, sw := range p.switches {
+		if sw.Reason != obs.SwitchWindow {
+			continue
+		}
+		windows++
+		if sw.WindowDraws != hybridWindow || sw.WindowActive*enterScale >= sw.WindowDraws {
+			t.Fatalf("switch %d at step %d: window %d draws, %d active (enter scale %d), want %d draws below the threshold",
+				i, sw.Step, sw.WindowDraws, sw.WindowActive, enterScale, hybridWindow)
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no window switch into the sparse engine")
+	}
+}
+
 // TestRecorderBoundarySampling runs the auto engine with a
 // non-default ObserveEvery and checks the Recorder sampled at exactly
 // the multiples of the period — the skip-sampling engines must visit

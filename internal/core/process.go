@@ -65,7 +65,7 @@ func NewScheduler(s *State, p Process) (*Scheduler, error) {
 	sc := &Scheduler{process: p, n: g.N(), complete: g.IsComplete(), s: s}
 	if p == EdgeProcess && !sc.complete {
 		sc.arcs = int(g.DegreeSum())
-		sc.arcTails = g.ArcTails()
+		sc.arcTails = g.ArcIndex()
 		sc.heads = g.Arcs()
 	}
 	return sc, nil

@@ -59,7 +59,7 @@ import (
 // every unit is 1 and no division is needed. Only the vertex process on
 // an irregular topology scales 1/d(v) by L = lcm of the distinct
 // degrees (num = Σ diff(v)·L/d(v), den = n·L), capped at
-// graph.MaxDegreeLCM; on the cap the constructor errors and callers
+// maxDegreeLCM; on the cap the constructor errors and callers
 // stay naive.
 //
 // Conditional pair draw. Each rejection round reads one member's
@@ -89,6 +89,13 @@ import (
 // trajectories diverge pointwise from the naive ones while keeping the
 // exact same law. The equivalence tests therefore compare distributions
 // (χ²/KS), not bytes.
+
+// maxDegreeLCM caps the least common multiple of the distinct degrees
+// used for exact integer reciprocal-degree weights (units L/d(v)). On a
+// degree sequence whose LCM exceeds the cap, the vertex-process
+// discordance engine refuses to build and callers fall back to naive
+// stepping.
+const maxDegreeLCM = int64(1) << 30
 
 var (
 	// sparseHandoffsTotal counts blocked-kernel rows that retired to the
@@ -200,8 +207,8 @@ func NewSparseState(s *State, proc Process) (*SparseState, error) {
 			}
 			prev = d
 			l := lcm / gcd64(lcm, int64(d)) * int64(d)
-			if l > graph.MaxDegreeLCM || l < 0 {
-				return nil, fmt.Errorf("core: fast engine: vertex-process degree lcm exceeds %d on this degree sequence; use naive stepping", graph.MaxDegreeLCM)
+			if l > maxDegreeLCM || l < 0 {
+				return nil, fmt.Errorf("core: fast engine: vertex-process degree lcm exceeds %d on this degree sequence; use naive stepping", maxDegreeLCM)
 			}
 			lcm = l
 		}

@@ -460,7 +460,7 @@ func (s *State) DiscordantEdges() int64 {
 		}
 		return c
 	}
-	tails, heads := s.g.ArcTails(), s.g.Arcs()
+	tails, heads := s.g.ArcIndex(), s.g.Arcs()
 	if s.opb != nil {
 		for a := range heads {
 			if u, w := tails[a], heads[a]; u < w && s.opb[u] != s.opb[w] {

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"time"
 
@@ -15,17 +14,14 @@ import (
 	"div/internal/rng"
 )
 
-// The build section: construction benchmarks for the stripe-keyed
-// parallel graph builders (graph.BuildCSR and the *Seeded families)
-// against the seed commit's []Edge + NewFromEdges path, which is
-// replicated verbatim below — frozen, so the recorded speedup keeps
-// meaning as the live builders evolve. Each point measures the frozen
-// baseline, the seeded serial configuration (the speedup numerator the
-// acceptance gate tracks, bracketed by an RSS sampler after releasing
-// the heap, like the bign arms), and the seeded parallel
-// configuration, and asserts the parallel build is byte-identical to
-// the serial one — the determinism claim, checked where the perf
-// numbers are produced and not just in unit tests.
+// The build section: construction benchmarks for the seeded graph
+// builders (graph.BuildCSR and the *Seeded families) against the seed
+// commit's []Edge + NewFromEdges path, which is replicated verbatim
+// below — frozen, so the recorded speedup keeps meaning as the live
+// builders evolve. Each point measures the frozen baseline and the
+// seeded build (the speedup numerator the acceptance gate tracks,
+// bracketed by an RSS sampler after releasing the heap, like the bign
+// arms).
 
 // BenchBuildPoint is one family × n construction measurement.
 type BenchBuildPoint struct {
@@ -40,28 +36,18 @@ type BenchBuildPoint struct {
 	// per-vertex sort.Slice assembly); 0 when skipped (the map-dedup
 	// random-regular baseline is prohibitive above n = 10⁶).
 	BaselineSeconds float64 `json:"baseline_seconds"`
-	// SerialSeconds is the seeded build at Workers = 1; the speedup gate
-	// compares it against the baseline on the same core.
+	// SerialSeconds is the seeded build; the speedup gate compares it
+	// against the baseline on the same core.
 	SerialSeconds     float64 `json:"serial_seconds"`
 	SerialEdgesPerSec float64 `json:"serial_edges_per_sec"`
 	SpeedupVsBaseline float64 `json:"speedup_vs_baseline"`
-	// Per-phase breakdown of the serial arm (graph.BuildStats).
+	// Per-phase breakdown of the seeded build (graph.BuildStats).
 	SampleNanos  int64 `json:"sample_nanos"`
 	CountNanos   int64 `json:"count_nanos"`
 	OffsetsNanos int64 `json:"offsets_nanos"`
 	ScatterNanos int64 `json:"scatter_nanos"`
 	SortNanos    int64 `json:"sort_nanos"`
-	// The parallel arm: Workers ≥ 2 always, so the striped/atomic paths
-	// are exercised even on a single-core runner (where SpeedupVsSerial
-	// ≈ 1 is expected, not a regression).
-	Workers             int     `json:"workers"`
-	ParallelSeconds     float64 `json:"parallel_seconds"`
-	ParallelEdgesPerSec float64 `json:"parallel_edges_per_sec"`
-	SpeedupVsSerial     float64 `json:"speedup_vs_serial"`
-	// Identical reports offsets- and adjacency-level byte identity of
-	// the parallel build against the serial one.
-	Identical bool `json:"identical"`
-	// PeakRSSBytes brackets the serial build with the heap released
+	// PeakRSSBytes brackets the seeded build with the heap released
 	// first and nothing else live; CSRBytes is the final artifact size.
 	// Their ratio bounds the build's transient memory overhead — the
 	// n = 10⁷ G(n,p) acceptance bound is ≤ 2×.
@@ -259,7 +245,7 @@ func benchBuildPoint(fam benchBuildFamily, n int, seed uint64) (BenchBuildPoint,
 		}
 	}
 
-	// The serial arm is the RSS bracket: heap released first, nothing
+	// The seeded arm is the RSS bracket: heap released first, nothing
 	// else live, so the peak is the build's own transient (CSR + memo +
 	// cursors), not comparison bookkeeping.
 	var serial *graph.Graph
@@ -270,7 +256,7 @@ func benchBuildPoint(fam benchBuildFamily, n int, seed uint64) (BenchBuildPoint,
 		var stats graph.BuildStats
 		tracker := obs.TrackPeakRSS(5 * time.Millisecond)
 		start := time.Now()
-		serial, err = fam.seeded(n, seed, graph.BuildOpts{Workers: 1, Stats: &stats})
+		serial, err = fam.seeded(n, seed, graph.BuildOpts{Stats: &stats})
 		sec := time.Since(start).Seconds()
 		rss := tracker.Stop()
 		if err != nil {
@@ -297,22 +283,6 @@ func benchBuildPoint(fam benchBuildFamily, n int, seed uint64) (BenchBuildPoint,
 	if pt.CSRBytes > 0 {
 		pt.RSSOverCSR = float64(pt.PeakRSSBytes) / float64(pt.CSRBytes)
 	}
-
-	// The parallel arm always runs with ≥ 2 workers so the atomic
-	// count/scatter paths and pool distribution are what gets measured
-	// (and identity-checked), even on a single-core runner.
-	pt.Workers = max(2, runtime.GOMAXPROCS(0))
-	debug.FreeOSMemory()
-	start := time.Now()
-	parallel, err := fam.seeded(n, seed, graph.BuildOpts{Workers: pt.Workers})
-	pt.ParallelSeconds = time.Since(start).Seconds()
-	if err != nil {
-		return pt, fmt.Errorf("bench build %s n=%d parallel: %w", fam.name, n, err)
-	}
-	pt.ParallelEdgesPerSec = float64(pt.Edges) / pt.ParallelSeconds
-	pt.SpeedupVsSerial = pt.SerialSeconds / pt.ParallelSeconds
-	pt.Identical = slices.Equal(serial.Offsets(), parallel.Offsets()) &&
-		slices.Equal(serial.Arcs(), parallel.Arcs())
 	return pt, nil
 }
 

@@ -155,15 +155,15 @@ func CompareReports(old, new *BenchReport, opts CompareOptions) *CompareResult {
 	// The bign dissenter subsection guards the sparse-endgame tail win:
 	// the naive/auto speedup ratio (wall-noise partially cancels in the
 	// ratio) and the auto arm's tail seconds, plus the near-deterministic
-	// sparse working-set ratio. Compared only when both reports measured
-	// the same point.
+	// sparse working set per vertex. Compared only when both reports
+	// measured the same point.
 	switch od, nd := dissenterOf(old), dissenterOf(new); {
 	case od == nil && nd == nil:
 	case od == nil || nd == nil || od.N != nd.N || od.Dissenters != nd.Dissenters:
 		c.res.Skipped = append(c.res.Skipped, "bign.dissenter: present or sized differently in only one report")
 	default:
 		c.higherBetter("bign.dissenter.speedup", od.Speedup, nd.Speedup)
-		c.lowerBetter("bign.dissenter.sparse_peak_ratio", od.SparsePeakRatio, nd.SparsePeakRatio)
+		c.lowerBetter("bign.dissenter.sparse_peak_bytes_per_vertex", od.SparsePeakBytesPerVertex, nd.SparsePeakBytesPerVertex)
 		for _, oa := range od.Arms {
 			for _, na := range nd.Arms {
 				if oa.Label == na.Label && oa.Trials == na.Trials {
@@ -227,7 +227,6 @@ func compareBuild(c *compareCtx, old, new *BenchBuild) {
 		}
 		pfx := "build.points[" + key + "]."
 		c.higherBetter(pfx+"serial_edges_per_sec", op.SerialEdgesPerSec, np.SerialEdgesPerSec)
-		c.higherBetter(pfx+"parallel_edges_per_sec", op.ParallelEdgesPerSec, np.ParallelEdgesPerSec)
 		if op.SpeedupVsBaseline > 0 && np.SpeedupVsBaseline > 0 {
 			c.higherBetter(pfx+"speedup_vs_baseline", op.SpeedupVsBaseline, np.SpeedupVsBaseline)
 		}

@@ -127,11 +127,11 @@ func TestCompareSkipsUnmatched(t *testing.T) {
 }
 
 func TestCompareDissenterGuard(t *testing.T) {
-	withDiss := func(speedup, autoTailSec, peakRatio float64) *BenchReport {
+	withDiss := func(speedup, autoTailSec, peakPerVertex float64) *BenchReport {
 		rep := compareFixture()
 		rep.BigN = &BenchBigN{Dissenter: &BenchBigNDissenter{
 			N: 1_000_000, Dissenters: 256,
-			Speedup: speedup, SparsePeakRatio: peakRatio,
+			Speedup: speedup, SparsePeakBytesPerVertex: peakPerVertex,
 			Arms: []BenchBigNDissenterArm{
 				{Label: "naive", Trials: 3, Phase: BenchBigNPhase{TailSeconds: 12}},
 				{Label: "auto/sparse", Trials: 3, Phase: BenchBigNPhase{TailSeconds: autoTailSec}},
@@ -139,13 +139,13 @@ func TestCompareDissenterGuard(t *testing.T) {
 		}}
 		return rep
 	}
-	old := withDiss(19, 0.6, 0.033)
-	if res := CompareReports(old, withDiss(19, 0.6, 0.033), CompareOptions{}); res.Regressions != 0 || len(res.Skipped) != 0 {
+	old := withDiss(19, 0.6, 4.14)
+	if res := CompareReports(old, withDiss(19, 0.6, 4.14), CompareOptions{}); res.Regressions != 0 || len(res.Skipped) != 0 {
 		t.Fatalf("self-compare of dissenter section not clean: %+v %v", res.Metrics, res.Skipped)
 	}
-	// Speedup halved, auto tail 2.5× slower, peak ratio inflated: three
-	// regressions (the naive arm's tail is unchanged).
-	if res := CompareReports(old, withDiss(8, 1.5, 0.06), CompareOptions{}); res.Regressions != 3 {
+	// Speedup halved, auto tail 2.5× slower, peak per vertex inflated:
+	// three regressions (the naive arm's tail is unchanged).
+	if res := CompareReports(old, withDiss(8, 1.5, 7.5), CompareOptions{}); res.Regressions != 3 {
 		t.Fatalf("found %d regressions, want 3: %+v", res.Regressions, res.Metrics)
 	}
 	// A report without the subsection skips, never silently passes.
@@ -156,30 +156,28 @@ func TestCompareDissenterGuard(t *testing.T) {
 }
 
 func TestCompareBuildGuard(t *testing.T) {
-	withBuild := func(serialEps, parEps, speedup, rssRatio float64) *BenchReport {
+	withBuild := func(serialEps, speedup, rssRatio float64) *BenchReport {
 		rep := compareFixture()
 		rep.Build = &BenchBuild{GOMAXPROCS: 1, Points: []BenchBuildPoint{
 			{Family: "gnp", N: 1_000_000, Param: 1.6e-5,
-				SerialEdgesPerSec: serialEps, ParallelEdgesPerSec: parEps,
-				SpeedupVsBaseline: speedup, RSSOverCSR: rssRatio, Identical: true},
+				SerialEdgesPerSec: serialEps, SpeedupVsBaseline: speedup, RSSOverCSR: rssRatio},
 			{Family: "randomRegular", N: 1_000_000, Param: 8,
-				SerialEdgesPerSec: 2e6, ParallelEdgesPerSec: 2e6,
-				RSSOverCSR: 2.8, Identical: true},
+				SerialEdgesPerSec: 2e6, RSSOverCSR: 2.8},
 		}}
 		return rep
 	}
-	old := withBuild(9e6, 9e6, 1.8, 1.5)
-	if res := CompareReports(old, withBuild(9e6, 9e6, 1.8, 1.5), CompareOptions{}); res.Regressions != 0 || len(res.Skipped) != 0 {
+	old := withBuild(9e6, 1.8, 1.5)
+	if res := CompareReports(old, withBuild(9e6, 1.8, 1.5), CompareOptions{}); res.Regressions != 0 || len(res.Skipped) != 0 {
 		t.Fatalf("self-compare of build section not clean: %+v %v", res.Metrics, res.Skipped)
 	}
-	// Serial throughput halved, speedup collapsed, RSS ratio inflated:
-	// three regressions on the gnp point (parallel throughput held).
-	if res := CompareReports(old, withBuild(4e6, 9e6, 1.1, 2.2), CompareOptions{}); res.Regressions != 3 {
+	// Throughput halved, speedup collapsed, RSS ratio inflated: three
+	// regressions on the gnp point.
+	if res := CompareReports(old, withBuild(4e6, 1.1, 2.2), CompareOptions{}); res.Regressions != 3 {
 		t.Fatalf("found %d regressions, want 3: %+v", res.Regressions, res.Metrics)
 	}
 	// The rr point recorded no baseline (SpeedupVsBaseline 0 on both
 	// sides): the speedup metric must not be compared for it.
-	for _, m := range CompareReports(old, withBuild(9e6, 9e6, 1.8, 1.5), CompareOptions{}).Metrics {
+	for _, m := range CompareReports(old, withBuild(9e6, 1.8, 1.5), CompareOptions{}).Metrics {
 		if strings.Contains(m.Name, "randomRegular") && strings.Contains(m.Name, "speedup_vs_baseline") {
 			t.Fatalf("baseline-less point compared a speedup: %s", m.Name)
 		}
@@ -189,7 +187,7 @@ func TestCompareBuildGuard(t *testing.T) {
 	if res := CompareReports(old, compareFixture(), CompareOptions{}); res.Regressions != 0 || len(res.Skipped) != 1 {
 		t.Fatalf("one-sided build section: regressions=%d skipped=%v", res.Regressions, res.Skipped)
 	}
-	shrunk := withBuild(9e6, 9e6, 1.8, 1.5)
+	shrunk := withBuild(9e6, 1.8, 1.5)
 	shrunk.Build.Points = shrunk.Build.Points[:1]
 	if res := CompareReports(old, shrunk, CompareOptions{}); len(res.Skipped) != 1 || !strings.Contains(res.Skipped[0], "only in old report") {
 		t.Fatalf("vanished build point not flagged: %v", res.Skipped)

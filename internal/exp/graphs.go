@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"div/internal/graph"
@@ -12,11 +11,11 @@ import (
 
 // Graphs is an experiment-scoped view of the process-wide graph
 // artifact cache (graph.SharedCache): every graph it hands out is
-// pinned — guaranteed resident, with its ArcIndex and memoized λ —
+// pinned — guaranteed resident, with its arc index and memoized λ —
 // until Release, which experiments defer so artifacts outlive exactly
 // one run and become evictable afterwards. Two experiments asking for
 // the same (family, size, params, seed) share one *Graph instance, so
-// the O(n+m) CSR arrays, the ArcIndex, and any spectral estimates are
+// the O(n+m) CSR arrays, the arc index, and any spectral estimates are
 // built once per suite instead of once per grid point.
 //
 // Random families take an explicit build seed (derive it from
@@ -89,20 +88,11 @@ func (gs *Graphs) Cycle(n int) *graph.Graph {
 	return gs.mustGet(graph.Key{Family: "cycle", N: n}, func() *graph.Graph { return graph.Cycle(n) })
 }
 
-// buildOpts is the assembler configuration for cache builds: stripes
-// run on the GOMAXPROCS-wide shared pool (the ready-channel dedup pins
-// a cold build to one caller, but the build itself saturates the
-// machine). Worker count never affects the built graph, so the cache
-// key needs no build-parallelism component.
-func buildOpts() graph.BuildOpts {
-	return graph.BuildOpts{Workers: runtime.GOMAXPROCS(0)}
-}
-
 // RandomRegular returns the cached uniform random d-regular graph
 // built from seed.
 func (gs *Graphs) RandomRegular(n, d int, seed uint64) (*graph.Graph, error) {
 	return gs.get(graph.Key{Family: "rr", N: n, A: d, Seed: seed}, func() (*graph.Graph, error) {
-		return graph.RandomRegularSeeded(n, d, seed, buildOpts())
+		return graph.RandomRegularSeeded(n, d, seed, graph.BuildOpts{})
 	})
 }
 
@@ -110,7 +100,7 @@ func (gs *Graphs) RandomRegular(n, d int, seed uint64) (*graph.Graph, error) {
 // from seed.
 func (gs *Graphs) ConnectedGnp(n int, p float64, seed uint64) (*graph.Graph, error) {
 	return gs.get(graph.Key{Family: "gnp", N: n, F: math.Float64bits(p), Seed: seed}, func() (*graph.Graph, error) {
-		return graph.ConnectedGnpSeeded(n, p, seed, 200, buildOpts())
+		return graph.ConnectedGnpSeeded(n, p, seed, 200, graph.BuildOpts{})
 	})
 }
 
@@ -118,7 +108,7 @@ func (gs *Graphs) ConnectedGnp(n int, p float64, seed uint64) (*graph.Graph, err
 // (m edges per arrival) built from seed.
 func (gs *Graphs) BarabasiAlbert(n, m int, seed uint64) (*graph.Graph, error) {
 	return gs.get(graph.Key{Family: "ba", N: n, A: m, Seed: seed}, func() (*graph.Graph, error) {
-		return graph.BarabasiAlbertSeeded(n, m, seed, buildOpts())
+		return graph.BarabasiAlbertSeeded(n, m, seed, graph.BuildOpts{})
 	})
 }
 
@@ -126,7 +116,7 @@ func (gs *Graphs) BarabasiAlbert(n, m int, seed uint64) (*graph.Graph, error) {
 // rewiring probability beta) built from seed.
 func (gs *Graphs) WattsStrogatz(n, d int, beta float64, seed uint64) (*graph.Graph, error) {
 	return gs.get(graph.Key{Family: "ws", N: n, A: d, F: math.Float64bits(beta), Seed: seed}, func() (*graph.Graph, error) {
-		return graph.WattsStrogatzSeeded(n, d, beta, seed, buildOpts())
+		return graph.WattsStrogatzSeeded(n, d, beta, seed, graph.BuildOpts{})
 	})
 }
 

@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"div/internal/rng"
@@ -27,7 +27,7 @@ func graphBytesEqual(a, b *Graph) bool {
 }
 
 // seededBuilders enumerates the seeded families at test sizes, so the
-// identity matrix below covers every one of them.
+// identity and seed-sensitivity checks below cover every one of them.
 var seededBuilders = []struct {
 	name  string
 	build func(seed uint64, opts BuildOpts) (*Graph, error)
@@ -52,28 +52,28 @@ var seededBuilders = []struct {
 	}},
 }
 
-// TestBuildIdentityAcrossWorkersAndStripes is the tentpole determinism
-// matrix: every seeded family must produce byte-identical CSR arrays
-// at every worker count {1,2,4,8} and across stripe granularities.
+// TestBuildIdentityAcrossWorkersAndStripes: every seeded family is a
+// pure function of (parameters, seed). Repeated builds in one process
+// give byte-identical, valid CSR arrays whatever Workers value they
+// pass — the field is ignored — so a builder that reads a map's
+// iteration order or any other per-run state fails here.
 func TestBuildIdentityAcrossWorkersAndStripes(t *testing.T) {
 	for _, fam := range seededBuilders {
 		t.Run(fam.name, func(t *testing.T) {
-			ref, err := fam.build(42, BuildOpts{Workers: 1})
+			ref, err := fam.build(42, BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := ref.Validate(); err != nil {
 				t.Fatalf("reference graph invalid: %v", err)
 			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, grain := range []int{0, 7, 64, 1 << 20} {
-					g, err := fam.build(42, BuildOpts{Workers: workers, Grain: grain})
-					if err != nil {
-						t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
-					}
-					if !graphBytesEqual(ref, g) {
-						t.Fatalf("workers=%d grain=%d: CSR differs from serial reference", workers, grain)
-					}
+			for _, workers := range []int{0, 1, 2, 8} {
+				g, err := fam.build(42, BuildOpts{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if !graphBytesEqual(ref, g) {
+					t.Fatalf("workers=%d: CSR differs from the first build", workers)
 				}
 			}
 		})
@@ -99,8 +99,10 @@ func TestBuildSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestBuildCSRMatchesNewFromEdges: the parallel assembler over an edge
-// list must equal the serial NewFromEdges output byte for byte.
+// TestBuildCSRMatchesNewFromEdges: the assembler over an edge list
+// must equal an independently sorted adjacency, and the edge order
+// must not matter — the sort phase canonicalizes whatever order the
+// scatter pass writes.
 func TestBuildCSRMatchesNewFromEdges(t *testing.T) {
 	r := rng.New(7)
 	const n = 300
@@ -124,22 +126,33 @@ func TestBuildCSRMatchesNewFromEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		for _, grain := range []int{0, 13, 257} {
-			g, err := BuildCSR(n, EdgeList(n, edges), BuildOpts{Workers: workers, Grain: grain})
-			if err != nil {
-				t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
-			}
-			if !graphBytesEqual(ref, g) {
-				t.Fatalf("workers=%d grain=%d: differs from NewFromEdges", workers, grain)
-			}
+	nbrs := make([][]int32, n)
+	for _, e := range edges {
+		nbrs[e.U] = append(nbrs[e.U], int32(e.V))
+		nbrs[e.V] = append(nbrs[e.V], int32(e.U))
+	}
+	for v, nb := range nbrs {
+		slices.Sort(nb)
+		if !slices.Equal(ref.Neighbors(v), nb) {
+			t.Fatalf("vertex %d: neighbours %v, want %v", v, ref.Neighbors(v), nb)
 		}
+	}
+	reversed := slices.Clone(edges)
+	slices.Reverse(reversed)
+	for i := range reversed {
+		reversed[i].U, reversed[i].V = reversed[i].V, reversed[i].U
+	}
+	g, err := BuildCSR(n, EdgeList(n, reversed), BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graphBytesEqual(ref, g) {
+		t.Fatal("reversed edge list builds a different CSR")
 	}
 }
 
 // TestBuildCSRErrors pins the exact NewFromEdges error strings and that
-// error selection is deterministic under parallelism (earliest row
-// wins, not fastest worker).
+// the earliest bad row's error is the one reported.
 func TestBuildCSRErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -154,36 +167,24 @@ func TestBuildCSRErrors(t *testing.T) {
 		{"duplicate", 3, []Edge{{0, 1}, {1, 2}, {1, 0}}, "graph: duplicate edge (0,1)"},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			_, err := BuildCSR(tc.n, EdgeList(tc.n, tc.edges), BuildOpts{Workers: workers, Grain: 1})
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("%s (workers=%d): err = %v, want %q", tc.name, workers, err, tc.want)
-			}
+		_, err := BuildCSR(tc.n, EdgeList(tc.n, tc.edges), BuildOpts{})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
-	// Two errors in different stripes: the earliest row's error must win
-	// at every width and grain.
+	// Three bad rows: the earliest one's error wins.
 	edges := []Edge{{0, 1}, {1, 1}, {2, 9}, {3, 3}}
-	for _, workers := range []int{1, 2, 8} {
-		_, err := BuildCSR(4, EdgeList(4, edges), BuildOpts{Workers: workers, Grain: 1})
-		want := "graph: edge 1 is a self-loop at 1"
-		if err == nil || err.Error() != want {
-			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
-		}
+	_, err := BuildCSR(4, EdgeList(4, edges), BuildOpts{})
+	if want := "graph: edge 1 is a self-loop at 1"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }
 
 // TestBuildStats checks per-phase accounting is populated.
 func TestBuildStats(t *testing.T) {
 	var st BuildStats
-	if _, err := GnpSeeded(20000, 0.004, 3, BuildOpts{Workers: 2, Stats: &st}); err != nil {
+	if _, err := GnpSeeded(20000, 0.004, 3, BuildOpts{Stats: &st}); err != nil {
 		t.Fatal(err)
-	}
-	if st.Workers != 2 {
-		t.Errorf("Workers = %d, want 2", st.Workers)
-	}
-	if st.Stripes == 0 {
-		t.Error("Stripes = 0, want > 0")
 	}
 	if st.CountNanos <= 0 || st.ScatterNanos <= 0 || st.SortNanos <= 0 {
 		t.Errorf("phase nanos not populated: %+v", st)
@@ -240,13 +241,10 @@ func TestGeometricSkipClamp(t *testing.T) {
 		t.Errorf("skipFromUniform(0.25, log(0.5)) = %d, want 2", got)
 	}
 	// End to end: a tiny-p build terminates with an (almost surely)
-	// empty edge set instead of hanging, on the serial count/scatter
-	// path and on the striped emit path.
-	for _, workers := range []int{1, 4} {
-		g, err := GnpSeeded(1000, 1e-18, 1, BuildOpts{Workers: workers, Grain: 64})
-		if err != nil || g.M() != 0 {
-			t.Fatalf("workers=%d tiny-p: m=%d err=%v", workers, g.M(), err)
-		}
+	// empty edge set instead of hanging.
+	g, err := GnpSeeded(1000, 1e-18, 1, BuildOpts{})
+	if err != nil || g.M() != 0 {
+		t.Fatalf("tiny-p: g=%v err=%v", g, err)
 	}
 }
 
@@ -331,22 +329,19 @@ func mapPairingReference(n, d int, seed uint64) ([]Edge, int) {
 
 // TestWattsStrogatzSeededLattice: with beta = 0 there is no
 // randomness, and the graph must be the circulant C_n(1, …, d/2) byte
-// for byte at every worker count — this pins the parallel lattice fill.
+// for byte — this pins the lattice fill.
 func TestWattsStrogatzSeededLattice(t *testing.T) {
 	for _, tc := range []struct{ n, d int }{{20, 4}, {101, 6}, {64, 2}} {
 		strides := make([]int, tc.d/2)
 		for i := range strides {
 			strides[i] = i + 1
 		}
-		ring := Circulant(tc.n, strides)
-		for _, workers := range []int{1, 4} {
-			seeded, err := WattsStrogatzSeeded(tc.n, tc.d, 0, 99, BuildOpts{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !graphBytesEqual(ring, seeded) {
-				t.Fatalf("n=%d d=%d workers=%d: beta=0 lattice differs from the circulant", tc.n, tc.d, workers)
-			}
+		seeded, err := WattsStrogatzSeeded(tc.n, tc.d, 0, 99, BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graphBytesEqual(Circulant(tc.n, strides), seeded) {
+			t.Fatalf("n=%d d=%d: beta=0 lattice differs from the circulant", tc.n, tc.d)
 		}
 	}
 }
@@ -366,15 +361,13 @@ func TestWattsStrogatzSeededRewireReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				g, err := WattsStrogatzSeeded(tc.n, tc.d, tc.beta, seed, BuildOpts{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !graphBytesEqual(g, ref) {
-					t.Fatalf("n=%d d=%d beta=%g seed=%d workers=%d: rewiring differs from the edge-map replay",
-						tc.n, tc.d, tc.beta, seed, workers)
-				}
+			g, err := WattsStrogatzSeeded(tc.n, tc.d, tc.beta, seed, BuildOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !graphBytesEqual(g, ref) {
+				t.Fatalf("n=%d d=%d beta=%g seed=%d: rewiring differs from the edge-map replay",
+					tc.n, tc.d, tc.beta, seed)
 			}
 		}
 	}
@@ -420,7 +413,7 @@ func wattsStrogatzMapReference(n, d int, beta float64, seed uint64) []Edge {
 // TestSeededBuildersValidate runs the structural validator and basic
 // family invariants over every seeded family.
 func TestSeededBuildersValidate(t *testing.T) {
-	g, err := RandomRegularSeeded(300, 8, 5, BuildOpts{Workers: 2})
+	g, err := RandomRegularSeeded(300, 8, 5, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +424,7 @@ func TestSeededBuildersValidate(t *testing.T) {
 		t.Fatalf("not 8-regular: min=%d max=%d", g.MinDegree(), g.MaxDegree())
 	}
 
-	g, err = ConnectedGnpSeeded(300, 0.03, 5, 200, BuildOpts{Workers: 2})
+	g, err = ConnectedGnpSeeded(300, 0.03, 5, 200, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +432,7 @@ func TestSeededBuildersValidate(t *testing.T) {
 		t.Fatal("ConnectedGnpSeeded returned a disconnected graph")
 	}
 
-	g, err = BarabasiAlbertSeeded(500, 3, 5, BuildOpts{Workers: 2})
+	g, err = BarabasiAlbertSeeded(500, 3, 5, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +443,7 @@ func TestSeededBuildersValidate(t *testing.T) {
 		t.Fatalf("BA edge count %d, want %d", g.M(), want)
 	}
 
-	g, err = WattsStrogatzSeeded(300, 6, 0.3, 5, BuildOpts{Workers: 2})
+	g, err = WattsStrogatzSeeded(300, 6, 0.3, 5, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,63 +465,84 @@ func TestBuildCSRReplayMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic from replay-contract violation")
 		}
 	}()
-	src := &flakySource{}
-	_, _ = BuildCSR(4, src, BuildOpts{})
+	// The first enumeration (count) emits one edge, the second
+	// (scatter) two.
+	calls := 0
+	flaky := edgeFunc(func(emit func(v, w int32)) error {
+		calls++
+		emit(0, 1)
+		if calls > 1 {
+			emit(2, 3)
+		}
+		return nil
+	})
+	_, _ = BuildCSR(4, flaky, BuildOpts{})
 }
 
-// flakySource violates the replay contract: the first enumeration
-// (count) emits one edge, the second (scatter) emits two.
-type flakySource struct{ calls int }
-
-func (s *flakySource) Rows() int { return 1 }
-
-func (s *flakySource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	s.calls++
-	emit(0, 1)
-	if s.calls > 1 {
-		emit(2, 3)
-	}
-	return nil
-}
-
-// TestEdgeListSourceRows sanity-checks the EdgeList view.
+// TestEdgeListSourceRows sanity-checks the EdgeList view: the count
+// pass tallies both endpoints of every edge and the scatter pass
+// writes both arcs through the cursors, in edge order.
 func TestEdgeListSourceRows(t *testing.T) {
-	src := EdgeList(5, []Edge{{0, 1}, {2, 3}})
-	if src.Rows() != 2 {
-		t.Fatalf("Rows = %d, want 2", src.Rows())
+	src := EdgeList(5, []Edge{{0, 1}, {2, 3}, {0, 3}})
+	counts := make([]int32, 6)
+	if err := src.CountEdges(counts); err != nil {
+		t.Fatal(err)
 	}
-	var got []string
-	err := src.EmitRows(0, 2, func(v, w int32) { got = append(got, fmt.Sprintf("%d-%d", v, w)) })
-	if err != nil || len(got) != 2 || got[0] != "0-1" || got[1] != "2-3" {
-		t.Fatalf("emitted %v err %v", got, err)
+	if want := []int32{0, 2, 1, 1, 2, 0}; !slices.Equal(counts, want) {
+		t.Fatalf("counts %v, want %v", counts, want)
+	}
+	fill := []int64{0, 2, 3, 4, 6}
+	adj := make([]int32, 6)
+	src.ScatterEdges(fill, adj)
+	if want := []int32{1, 3, 0, 3, 2, 0}; !slices.Equal(adj, want) {
+		t.Fatalf("adj %v, want %v", adj, want)
+	}
+	if src.Presorted() {
+		t.Fatal("an edge list claims a presorted scatter")
 	}
 }
 
-// FuzzBuildStripes fuzzes stripe boundaries and worker counts against
-// the serial reference: any (n, p, seed, grain, workers) must build
-// the same graph as the serial default-grain build.
+// FuzzBuildStripes fuzzes the G(n,p) row enumeration: for any
+// (n, p, seed), the memoized count/scatter build with its presorted
+// verify must equal an edge-list build of the same row-keyed skip
+// chains, which goes through the generic scatter and sort.
 func FuzzBuildStripes(f *testing.F) {
-	f.Add(uint16(100), uint16(50), uint64(1), uint16(7), uint8(4))
-	f.Add(uint16(2), uint16(999), uint64(0), uint16(1), uint8(2))
-	f.Add(uint16(257), uint16(10), uint64(123), uint16(64), uint8(8))
-	f.Fuzz(func(t *testing.T, nRaw, pMille uint16, seed uint64, grainRaw uint16, workersRaw uint8) {
+	f.Add(uint16(100), uint16(50), uint64(1))
+	f.Add(uint16(2), uint16(999), uint64(0))
+	f.Add(uint16(257), uint16(10), uint64(123))
+	f.Fuzz(func(t *testing.T, nRaw, pMille uint16, seed uint64) {
 		n := int(nRaw%400) + 1
 		p := float64(pMille%1000) / 1000
-		grain := int(grainRaw%512) + 1
-		workers := int(workersRaw%8) + 1
-		ref, err := GnpSeeded(n, p, seed, BuildOpts{})
+		g, err := GnpSeeded(n, p, seed, BuildOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := GnpSeeded(n, p, seed, BuildOpts{Workers: workers, Grain: grain})
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if p == 0 {
+			return // built without the skip chain
+		}
+		var edges []Edge
+		lq := logOneMinus(p)
+		var c rng.Counter
+		for v := 1; v < n; v++ {
+			c.Seed(seed, uint64(v))
+			w := -1
+			for {
+				w += 1 + geometricSkipCounter(&c, lq)
+				if w >= v || w < 0 {
+					break
+				}
+				edges = append(edges, Edge{U: v, V: w})
+			}
+		}
+		ref, err := NewFromEdges(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !graphBytesEqual(ref, g) {
-			t.Fatalf("n=%d p=%g grain=%d workers=%d: differs from serial build", n, p, grain, workers)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("n=%d p=%g seed=%d: differs from the edge-list replay", n, p, seed)
 		}
 	})
 }

@@ -12,18 +12,14 @@ import (
 
 // This file is the suite-level graph-artifact cache: a ref-counted,
 // byte-bounded LRU keyed by (family, n, params, build seed) that hands
-// out shared *Graph instances — and with them the per-graph ArcIndex
+// out shared *Graph instances — and with them the per-graph arc index
 // and any memoized scalars (spectral λ estimates) — so experiments
 // that revisit the same grid point stop rebuilding O(n+m) structure.
 //
 // Concurrency model: Get resolves the key under the cache lock but
-// builds outside it; concurrent requests for the same key share one
-// build via a ready channel. The dedup pins each cold build to one
-// calling goroutine, but the build itself is no longer serial: the
-// seeded builders stripe their phases over the work-stealing pool
-// (BuildOpts.Workers), so a single cold miss can still saturate the
-// machine. Entries referenced by a live Handle
-// (refs > 0) are pinned and never evicted. Eviction only forgets the
+// builds outside it, on the goroutine that missed; concurrent requests
+// for the same key wait on that one build via a ready channel. Entries
+// referenced by a live Handle (refs > 0) are pinned and never evicted. Eviction only forgets the
 // cache's pointer — Graphs are immutable, so evicted-but-referenced
 // instances stay valid and are reclaimed by GC when released.
 //
@@ -95,8 +91,9 @@ type Cache struct {
 	hits, misses, evictions atomic.Int64
 }
 
-// NewCache returns a cache bounded to roughly capBytes of graph +
-// ArcIndex storage (MemBytes estimates). capBytes <= 0 means unbounded.
+// NewCache returns a cache bounded to roughly capBytes of graph and
+// arc-index storage (MemBytes estimates). capBytes <= 0 means
+// unbounded.
 func NewCache(capBytes int64) *Cache {
 	return &Cache{
 		entries:  make(map[Key]*entry),
@@ -282,8 +279,8 @@ func (c *Cache) Len() int {
 }
 
 // sharedCacheBytes bounds the process-wide cache. The suite's largest
-// artifact is the -full E2 endpoint K_3200 (≈ 12·n(n-1) ≈ 123 MB with
-// ArcIndex), so 256 MiB holds it plus the rest of the working set
+// artifact is the -full E2 endpoint K_3200 (≈ 8·n(n-1) ≈ 82 MB with
+// its arc index), so 256 MiB holds it plus the rest of the working set
 // while still forcing LRU turnover on pathological sweeps.
 const sharedCacheBytes = 256 << 20
 

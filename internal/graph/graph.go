@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Graph is an undirected simple graph in compressed sparse row form.
@@ -24,10 +25,29 @@ type Graph struct {
 	minDeg  int     // minimum degree, computed once by BuildCSR
 	name    string  // human-readable family label, e.g. "complete(n=100)"
 
-	// arc caches the lazily-built shared ArcIndex. It is a pointer to a
-	// heap cell (not an inline atomic) so WithName's shallow copy shares
-	// the cache instead of copying a lock-bearing value.
-	arc *arcCell
+	// tails builds the arc index on its first call and returns the
+	// cached slice after; WithName's shallow copy shares it.
+	tails func() []int32
+}
+
+// newGraph wraps finished CSR arrays. It is BuildCSR's last step, the
+// single place a Graph is made.
+func newGraph(offsets []int64, adj []int32) *Graph {
+	return &Graph{
+		offsets: offsets,
+		adj:     adj,
+		minDeg:  minDegree(offsets),
+		tails: sync.OnceValue(func() []int32 {
+			tails := make([]int32, len(adj))
+			for v := 0; v+1 < len(offsets); v++ {
+				row := tails[offsets[v]:offsets[v+1]]
+				for i := range row {
+					row[i] = int32(v)
+				}
+			}
+			return tails
+		}),
+	}
 }
 
 // Edge is an undirected edge between vertices U and V.
@@ -124,11 +144,17 @@ func (g *Graph) EdgeAt(arc int) (tail, head int) {
 // not modify it.
 func (g *Graph) Arcs() []int32 { return g.adj }
 
-// ArcTails returns the 2M-length array mapping each directed-arc index
-// to its tail vertex, for O(1) EdgeAt lookups in hot loops. The slice
-// is the shared ArcIndex's storage — callers must not modify it.
-func (g *Graph) ArcTails() []int32 {
-	return g.ArcIndex().Tails()
+// ArcIndex returns the 2M-length array mapping each directed-arc index
+// to its tail vertex: arc a runs from ArcIndex()[a] to Arcs()[a]. It is
+// what the edge-process kernels draw arcs through, in place of
+// EdgeAt's binary search. The index is built in O(n + m) on first use
+// and cached on the graph, so every trial and engine (and every
+// WithName copy) shares one slice; callers must not modify it.
+func (g *Graph) ArcIndex() []int32 {
+	if g.tails == nil {
+		return nil // the zero Graph has no arcs
+	}
+	return g.tails()
 }
 
 // Name returns the human-readable family label, or "" if unset.
@@ -199,15 +225,15 @@ func (g *Graph) IsComplete() bool {
 }
 
 // MemBytes estimates the resident size of the graph together with its
-// fully-built ArcIndex: CSR offsets (8 bytes/vertex) and adjacency
-// (4 bytes/arc), plus the index's tails and rev arrays (4 bytes/arc
-// each). The artifact cache uses this as the charge for byte-bounded
-// eviction, so it deliberately prices the index even before it is
-// built — the cache's whole point is that it will be.
+// built ArcIndex: CSR offsets (8 bytes/vertex) and adjacency (4
+// bytes/arc), plus the index's tails (4 bytes/arc). The artifact cache
+// uses this as the charge for byte-bounded eviction, so it
+// deliberately prices the index even before it is built — the cache's
+// whole point is that it will be.
 func (g *Graph) MemBytes() int64 {
 	n := int64(g.N())
 	arcs := int64(len(g.adj))
-	return 12*arcs + 8*n + 64
+	return 8*arcs + 8*n + 64
 }
 
 // Stationary returns the stationary distribution π_v = d(v)/2m of the

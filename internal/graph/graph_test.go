@@ -86,14 +86,14 @@ func TestEdgesRoundTrip(t *testing.T) {
 
 func TestEdgeAtAndArcTails(t *testing.T) {
 	g := MustFromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	tails := g.ArcTails()
+	tails := g.ArcIndex()
 	if len(tails) != int(g.DegreeSum()) {
-		t.Fatalf("ArcTails length %d, want %d", len(tails), g.DegreeSum())
+		t.Fatalf("ArcIndex length %d, want %d", len(tails), g.DegreeSum())
 	}
 	for arc := 0; arc < len(tails); arc++ {
 		tail, head := g.EdgeAt(arc)
 		if int(tails[arc]) != tail {
-			t.Errorf("arc %d: ArcTails says %d, EdgeAt says %d", arc, tails[arc], tail)
+			t.Errorf("arc %d: ArcIndex says %d, EdgeAt says %d", arc, tails[arc], tail)
 		}
 		if !g.HasEdge(tail, head) {
 			t.Errorf("arc %d: (%d,%d) is not an edge", arc, tail, head)
@@ -130,11 +130,11 @@ func TestDegreeExtremes(t *testing.T) {
 
 // TestMinDegreeCached pins the minimum degree BuildCSR stores against a
 // scan of the degrees, on every construction path: builders, the
-// parallel assembler, an isolated vertex, the empty graph, a WithName
-// copy and a graph read back from an edge list, and with the unique
-// minimum at the first, second and last vertex.
+// random-regular assembler, an isolated vertex, the empty graph, a
+// WithName copy and a graph read back from an edge list, and with the
+// unique minimum at the first, second and last vertex.
 func TestMinDegreeCached(t *testing.T) {
-	rr, err := RandomRegularSeeded(1000, 6, 3, BuildOpts{Workers: 2})
+	rr, err := RandomRegularSeeded(1000, 6, 3, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,5 +227,80 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g.adj[0] = 2 // vertex 0's only neighbour becomes 2, but 2 lists only 1
 	if err := g.Validate(); err == nil {
 		t.Error("corrupted graph passed validation")
+	}
+}
+
+func arcIndexGraphs(t *testing.T) map[string]*Graph {
+	t.Helper()
+	rr, err := RandomRegularSeeded(14, 4, 0xa1, BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Graph{
+		"path":     Path(9),
+		"cycle":    Cycle(12),
+		"complete": Complete(8),
+		"star":     Star(11),
+		"regular":  rr,
+	}
+}
+
+// TestArcIndexStructure checks the arc index against the CSR layout:
+// arc a of Neighbors order runs from vertex v to its neighbour, and
+// Arc agrees with the index.
+func TestArcIndexStructure(t *testing.T) {
+	for name, g := range arcIndexGraphs(t) {
+		tails, adj := g.ArcIndex(), g.Arcs()
+		if len(tails) != len(adj) {
+			t.Fatalf("%s: index size %d, want %d", name, len(tails), len(adj))
+		}
+		for v := 0; v < g.N(); v++ {
+			base := g.Offsets()[v]
+			for i, w := range g.Neighbors(v) {
+				a := base + int64(i)
+				if tails[a] != int32(v) || adj[a] != w {
+					t.Fatalf("%s: arc %d is (%d→%d), want (%d→%d)", name, a, tails[a], adj[a], v, w)
+				}
+				if u, x := g.Arc(a); u != v || x != int(w) {
+					t.Fatalf("%s: Arc(%d) = (%d→%d), want (%d→%d)", name, a, u, x, v, w)
+				}
+			}
+		}
+	}
+	if (&Graph{}).ArcIndex() != nil {
+		t.Error("zero Graph has a non-empty arc index")
+	}
+}
+
+// TestArcIndexShared: the index is built once per graph and shared by
+// WithName copies.
+func TestArcIndexShared(t *testing.T) {
+	g := Cycle(10)
+	ix := g.ArcIndex()
+	if &g.ArcIndex()[0] != &ix[0] {
+		t.Error("second ArcIndex call rebuilt the index")
+	}
+	if &g.WithName("renamed").ArcIndex()[0] != &ix[0] {
+		t.Error("WithName copy does not share the arc index")
+	}
+}
+
+// TestIsComplete: the arc-count criterion 2m = n(n-1) holds exactly for
+// complete graphs (a simple graph meeting it must have every degree at
+// its maximum).
+func TestIsComplete(t *testing.T) {
+	for _, n := range []int{2, 3, 8} {
+		if !Complete(n).IsComplete() {
+			t.Errorf("Complete(%d).IsComplete() = false", n)
+		}
+	}
+	for name, g := range map[string]*Graph{
+		"path":  Path(5),
+		"star":  Star(6),
+		"cycle": Cycle(3) /* K_3 as cycle */} {
+		want := name == "cycle"
+		if got := g.IsComplete(); got != want {
+			t.Errorf("%s.IsComplete() = %v, want %v", name, got, want)
+		}
 	}
 }

@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"div/internal/rng"
-	"div/internal/sched"
 )
 
 // This file holds the random-family builders, the module's only
 // random-graph constructors. Each draws from Philox counter streams
 // keyed on the build seed, so a graph is a pure function of (family
-// parameters, seed) — independent of worker count, stripe size, and
-// everything else about scheduling — and is assembled directly into
-// CSR form (BuildCSR, no []Edge detour).
+// parameters, seed), and is assembled directly into CSR form
+// (BuildCSR, no []Edge detour).
 //
 // The sampling laws are pinned by closed forms and exact replays in
 // build_law_test.go and build_test.go: Binomial degree and edge-count
@@ -25,29 +22,12 @@ import (
 // lattice at β = 0 and a full edge-map replay of the rewiring for
 // Watts–Strogatz, and the degree-proportional attachment law for
 // Barabási–Albert.
-//
-// How each family parallelizes:
-//
-//   - Gnp: embarrassingly row-parallel. Vertex row v (its edges to
-//     smaller vertices, the Batagelj–Brandes lexicographic order
-//     restarted per row) draws from a Counter keyed (seed, v), so any
-//     partition of rows into stripes samples identical edges.
-//   - RandomRegular: configuration-model pairing is a global sequential
-//     chain (each pair conditions on the whole history), so sampling is
-//     serial on one keyed stream; the CSR assembly of the paired
-//     half-edge table is parallel.
-//   - WattsStrogatz: the lattice slab fills in parallel (edge positions
-//     are arithmetic); rewiring conditions on the evolving edge set and
-//     stays serial; assembly is parallel.
-//   - BarabasiAlbert: inherently sequential — every attachment draw
-//     conditions on all earlier degrees — so sampling is serial on one
-//     keyed stream and only the assembly parallelizes.
 
 // GnpSeeded returns G(n,p) as a pure function of (n, p, seed): row v
 // samples its edges {w, v} (w < v) by geometric skipping from a Philox
 // counter stream keyed (seed, v). Restarting the Batagelj–Brandes
 // skip chain at each row boundary still makes every pair an
-// independent Bernoulli(p), and lets construction stripe across rows.
+// independent Bernoulli(p).
 // For p ≥ 2(1+ε)log(n)/n these are expanders with λ ≲ 2/√(np) w.h.p.
 // (paper, "Graphs with small second eigenvalue").
 func GnpSeeded(n int, p float64, seed uint64, opts BuildOpts) (*Graph, error) {
@@ -106,105 +86,34 @@ func geometricSkipCounter(c *rng.Counter, lq float64) int {
 	return skipFromUniform(u, lq)
 }
 
-// gnpSource emits row v's edges to smaller vertices from the row-keyed
-// counter stream. Emissions are a pure function of the row range. The
-// count pass's draws are memoized per stripe — just the neighbour
-// values, 4 bytes per edge, since the owning vertex is implied by the
-// per-row lengths — and the scatter pass replays the memo instead of
-// re-running the geometric skip chain, so each edge is sampled exactly
-// once. A memo is consumed (freed) by its replay, bounding the build's
-// transient overhead at one int32 per edge between the two passes.
+// gnpSource enumerates row v's edges to smaller vertices from the
+// row-keyed counter stream. The count pass memoizes its draws — just
+// the neighbour values, 4 bytes per edge, since the owning vertex is
+// implied by the per-row lengths — and the scatter pass replays the
+// memo instead of re-running the geometric skip chain, so each edge is
+// sampled exactly once. The replay frees the memo, bounding the
+// build's transient overhead at one int32 per edge between the passes.
 type gnpSource struct {
 	n    int
 	p    float64
 	lq   float64
 	seed uint64
 
-	mu   sync.Mutex
-	memo map[int]*gnpStripe // keyed by stripe lo
-}
-
-type gnpStripe struct {
-	hi     int
-	ws     []int32 // neighbour draws, rows lo..hi-1 concatenated
+	ws     []int32 // neighbour draws, rows 0..n-1 concatenated
 	rowLen []int32 // draws per row
 }
 
-func (s *gnpSource) Rows() int { return s.n }
-
-// take removes and returns the memo for stripe lo, nil if absent.
-func (s *gnpSource) take(lo int) *gnpStripe {
-	s.mu.Lock()
-	st := s.memo[lo]
-	if st != nil {
-		delete(s.memo, lo)
-	}
-	s.mu.Unlock()
-	return st
-}
-
-func (s *gnpSource) put(lo int, st *gnpStripe) {
-	s.mu.Lock()
-	if s.memo == nil {
-		s.memo = make(map[int]*gnpStripe)
-	}
-	s.memo[lo] = st
-	s.mu.Unlock()
-}
-
-// newStripe allocates a memo sized to the stripe's expected edge count
-// (p · #pairs owned, plus four standard deviations of Binomial slack)
-// so count-pass appends almost never reallocate.
-func (s *gnpSource) newStripe(lo, hi int) *gnpStripe {
-	pairs := (float64(hi)*float64(hi-1) - float64(lo)*float64(lo-1)) / 2
-	mean := s.p * pairs
-	capHint := int(mean + 4*math.Sqrt(mean) + 16)
-	return &gnpStripe{hi: hi, ws: make([]int32, 0, capHint), rowLen: make([]int32, hi-lo)}
-}
-
-func (s *gnpSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	if st := s.take(lo); st != nil && st.hi == hi {
-		i := 0
-		for v := lo; v < hi; v++ {
-			for k := int32(0); k < st.rowLen[v-lo]; k++ {
-				emit(int32(v), st.ws[i])
-				i++
-			}
-		}
-		return nil
-	}
-	st := s.newStripe(lo, hi)
+// CountEdges runs every row's skip chain, tallying both endpoints'
+// degrees (the row side batched per row) and filling the memo. The
+// memo is sized to the expected edge count (p · n(n-1)/2, plus four
+// standard deviations of Binomial slack), so appends almost never
+// reallocate.
+func (s *gnpSource) CountEdges(counts []int32) error {
+	mean := s.p * float64(s.n) * float64(s.n-1) / 2
+	s.ws = make([]int32, 0, int(mean+4*math.Sqrt(mean)+16))
+	s.rowLen = make([]int32, s.n)
 	var c rng.Counter
-	for v := lo; v < hi; v++ {
-		if v == 0 {
-			continue // no smaller vertices
-		}
-		c.Seed(s.seed, uint64(v))
-		w := -1
-		for {
-			w += 1 + geometricSkipCounter(&c, s.lq)
-			if w >= v || w < 0 {
-				break
-			}
-			emit(int32(v), int32(w))
-			st.ws = append(st.ws, int32(w))
-			st.rowLen[v-lo]++
-		}
-	}
-	s.put(lo, st)
-	return nil
-}
-
-// CountRowsSerial is the serialRowsSource fast path: the same skip
-// chain as EmitRows with the degree tallies inlined (the row side
-// batched per row) and the memo filled as a side effect.
-func (s *gnpSource) CountRowsSerial(lo, hi int, counts []int32) error {
-	st := s.newStripe(lo, hi)
-	var c rng.Counter
-	for v := lo; v < hi; v++ {
-		if v == 0 {
-			continue
-		}
+	for v := 1; v < s.n; v++ {
 		c.Seed(s.seed, uint64(v))
 		w := -1
 		var rl int32
@@ -213,65 +122,39 @@ func (s *gnpSource) CountRowsSerial(lo, hi int, counts []int32) error {
 			if w >= v || w < 0 {
 				break
 			}
-			st.ws = append(st.ws, int32(w))
+			s.ws = append(s.ws, int32(w))
 			counts[w+1]++
 			rl++
 		}
-		st.rowLen[v-lo] = rl
+		s.rowLen[v] = rl
 		counts[v+1] += rl
 	}
-	s.put(lo, st)
 	return nil
 }
 
-// SortedRowsSerial: the skip chain emits each row ascending and every
-// edge is owned by its larger endpoint, so a serial scatter writes
-// every adjacency already sorted.
-func (s *gnpSource) SortedRowsSerial() bool { return true }
-
-// ScatterRowsSerial replays the count pass's memo straight into the
-// arc slab. A serial build always has the memo (the two passes run on
-// one goroutine over identical stripes); the resample branch keeps the
-// method total for robustness.
-func (s *gnpSource) ScatterRowsSerial(lo, hi int, fill []int64, adj []int32) {
-	if st := s.take(lo); st != nil && st.hi == hi {
-		i := 0
-		for v := lo; v < hi; v++ {
-			vv := int32(v)
-			for k := int32(0); k < st.rowLen[v-lo]; k++ {
-				w := st.ws[i]
-				i++
-				a := fill[vv]
-				fill[vv] = a + 1
-				adj[a] = w
-				b := fill[w]
-				fill[w] = b + 1
-				adj[b] = vv
-			}
-		}
-		return
-	}
-	var c rng.Counter
-	for v := lo; v < hi; v++ {
-		if v == 0 {
-			continue
-		}
-		c.Seed(s.seed, uint64(v))
-		w := -1
-		for {
-			w += 1 + geometricSkipCounter(&c, s.lq)
-			if w >= v || w < 0 {
-				break
-			}
-			a := fill[v]
-			fill[v] = a + 1
-			adj[a] = int32(w)
+// ScatterEdges replays the count pass's memo straight into the arc
+// slab, then frees it.
+func (s *gnpSource) ScatterEdges(fill []int64, adj []int32) {
+	i := 0
+	for v, rl := range s.rowLen {
+		vv := int32(v)
+		for _, w := range s.ws[i : i+int(rl)] {
+			a := fill[vv]
+			fill[vv] = a + 1
+			adj[a] = w
 			b := fill[w]
 			fill[w] = b + 1
-			adj[b] = int32(v)
+			adj[b] = vv
 		}
+		i += int(rl)
 	}
+	s.ws, s.rowLen = nil, nil
 }
+
+// Presorted: the skip chain emits each row ascending and every edge is
+// owned by its larger endpoint, so the scatter writes every adjacency
+// already sorted.
+func (s *gnpSource) Presorted() bool { return true }
 
 // ConnectedGnpSeeded draws GnpSeeded repeatedly until the sample is
 // connected, up to maxTries attempts (the voting processes are defined
@@ -293,8 +176,8 @@ func ConnectedGnpSeeded(n int, p float64, seed uint64, maxTries int, opts BuildO
 
 // RandomRegularSeeded returns a uniform-ish random d-regular simple
 // graph built from a keyed stream: attempt a of the configuration-
-// model pairing draws from Stream (seed, a), and the paired half-edge
-// table assembles in parallel. d·n half-edges are paired uniformly;
+// model pairing draws from Stream (seed, a), and BuildCSR assembles
+// the paired half-edge table. d·n half-edges are paired uniformly;
 // pairings creating self-loops or multi-edges are rerolled, and the
 // whole pairing restarts if it gets stuck. For d = o(√n) the result is
 // asymptotically uniform, and random d-regular graphs satisfy
@@ -333,7 +216,7 @@ func RandomRegularSeeded(n, d int, seed uint64, opts BuildOpts) (*Graph, error) 
 		if !ok {
 			continue
 		}
-		g, err := BuildCSR(n, src, opts)
+		g, err := BuildCSR(n, edgeFunc(src.edges), opts)
 		if err != nil {
 			// Should be impossible: the pairing guarantees simplicity.
 			return nil, fmt.Errorf("graph: RandomRegular produced invalid pairing: %w", err)
@@ -343,19 +226,17 @@ func RandomRegularSeeded(n, d int, seed uint64, opts BuildOpts) (*Graph, error) 
 	return nil, fmt.Errorf("graph: RandomRegular(n=%d,d=%d) failed after %d attempts", n, d, maxAttempts)
 }
 
-// regularTableSource is the paired half-edge table as an EdgeSource:
-// row v owns its table entries with larger endpoint, so every edge is
-// emitted exactly once.
+// regularTableSource is the paired half-edge table: row v owns its
+// table entries with larger endpoint, so edges emits every edge
+// exactly once.
 type regularTableSource struct {
 	n, d int
 	nbr  []int32 // nbr[v*d : v*d+cnt[v]] = neighbours of v
 	cnt  []int32
 }
 
-func (s *regularTableSource) Rows() int { return s.n }
-
-func (s *regularTableSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	for v := lo; v < hi; v++ {
+func (s *regularTableSource) edges(emit func(v, w int32)) error {
+	for v := 0; v < s.n; v++ {
 		row := s.nbr[v*s.d : v*s.d+int(s.cnt[v])]
 		for _, w := range row {
 			if w > int32(v) {
@@ -431,10 +312,8 @@ func tryPairingTable(n, d int, s *rng.Stream, src *regularTableSource, stubs []i
 // stream: a ring lattice where every vertex connects to its d/2
 // nearest neighbours on each side, with each edge independently
 // rewired to a uniform random non-conflicting endpoint with
-// probability beta. d must be even, 2 ≤ d < n. The lattice slab fills
-// in parallel (edge i's endpoints are arithmetic in i), the rewiring
-// pass scans the edges sequentially on Stream (seed, 0), and assembly
-// is parallel.
+// probability beta. d must be even, 2 ≤ d < n. The rewiring pass
+// scans the lattice edges in order on Stream (seed, 0).
 func WattsStrogatzSeeded(n, d int, beta float64, seed uint64, opts BuildOpts) (*Graph, error) {
 	if d%2 != 0 || d < 2 || d >= n {
 		return nil, fmt.Errorf("graph: WattsStrogatz requires even 2 <= d < n, got d=%d n=%d", d, n)
@@ -443,15 +322,12 @@ func WattsStrogatzSeeded(n, d int, beta float64, seed uint64, opts BuildOpts) (*
 		return nil, fmt.Errorf("graph: WattsStrogatz beta %v out of [0,1]", beta)
 	}
 	half := d / 2
-	edges := make([]Edge, n*half)
-	grain := opts.grainFor(n)
-	sched.Distribute(opts.pool(), n, grain, sched.Tag{Exp: "graph_build"}, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for s := 1; s <= half; s++ {
-				edges[v*half+s-1] = Edge{U: v, V: (v + s) % n}
-			}
+	edges := make([]Edge, 0, n*half)
+	for v := 0; v < n; v++ {
+		for s := 1; s <= half; s++ {
+			edges = append(edges, Edge{U: v, V: (v + s) % n})
 		}
-	})
+	}
 	if beta > 0 {
 		start := time.Now()
 		rewireLattice(n, half, beta, seed, edges)
@@ -532,10 +408,7 @@ func rewireLattice(n, half int, beta float64, seed uint64, edges []Edge) {
 // probability proportional to degree. Heavy-tailed degrees; the
 // canonical irregular test bed for the vertex vs. edge process
 // comparison (E10). Attachment is inherently sequential — each
-// arrival's degree-proportional draws condition on every earlier edge
-// — so sampling is serial (documented here deliberately; do not try to
-// stripe it), and only the CSR assembly of the recorded picks
-// parallelizes.
+// arrival's degree-proportional draws condition on every earlier edge.
 func BarabasiAlbertSeeded(n, m int, seed uint64, opts BuildOpts) (*Graph, error) {
 	if m < 1 || m+1 > n {
 		return nil, fmt.Errorf("graph: BarabasiAlbert requires 1 <= m < n, got m=%d n=%d", m, n)
@@ -577,25 +450,23 @@ func BarabasiAlbertSeeded(n, m int, seed uint64, opts BuildOpts) (*Graph, error)
 		}
 	}
 	opts.observeSample(time.Since(start))
-	g, err := BuildCSR(n, baSource{m0: m0, m: m, n: n, picks: picks}, opts)
+	g, err := BuildCSR(n, edgeFunc(baSource{m0: m0, m: m, n: n, picks: picks}.edges), opts)
 	if err != nil {
 		return nil, err
 	}
 	return g.WithName(fmt.Sprintf("barabasiAlbert(n=%d,m=%d)", n, m)), nil
 }
 
-// baSource is the recorded attachment picks as an EdgeSource: rows
-// below m0 own the seed-clique edges to larger clique vertices, row
-// v ≥ m0 owns its m attachment edges (targets always predate v).
+// baSource is the recorded attachment picks: rows below m0 own the
+// seed-clique edges to larger clique vertices, row v ≥ m0 owns its m
+// attachment edges (targets always predate v).
 type baSource struct {
 	m0, m, n int
 	picks    []int32
 }
 
-func (s baSource) Rows() int { return s.n }
-
-func (s baSource) EmitRows(lo, hi int, emit func(v, w int32)) error {
-	for v := lo; v < hi; v++ {
+func (s baSource) edges(emit func(v, w int32)) error {
+	for v := 0; v < s.n; v++ {
 		if v < s.m0 {
 			for u := v + 1; u < s.m0; u++ {
 				emit(int32(v), int32(u))

@@ -11,7 +11,7 @@ import (
 // lookup. A materialized *Graph satisfies it (CSR-backed), and the
 // implicit families below satisfy it with O(1) state — no adjacency is
 // ever built — which is what makes n = 10⁶–10⁷ runs affordable: the
-// per-vertex structures drop from O(n + m) CSR plus ArcIndex to a
+// per-vertex structures drop from O(n + m) CSR plus arc index to a
 // handful of integers.
 //
 // Contract: Neighbor(v, i) for i in [0, Degree(v)) must enumerate v's
@@ -41,9 +41,9 @@ type ArcTopology interface {
 	Arc(a int64) (v, w int)
 }
 
-// *Graph satisfies ArcTopology: Arc reads the shared ArcIndex tails.
+// *Graph satisfies ArcTopology: Arc reads the shared ArcIndex.
 func (g *Graph) Arc(a int64) (v, w int) {
-	return int(g.ArcTails()[a]), int(g.adj[a])
+	return int(g.ArcIndex()[a]), int(g.adj[a])
 }
 
 // Materialize builds the CSR twin of a topology by enumerating every
@@ -83,13 +83,13 @@ func MustMaterialize(t Topology) *Graph {
 
 // CSRMemEstimate predicts the resident bytes a topology would cost if
 // materialized: the CSR adjacency (offsets at 8 bytes/vertex, heads at
-// 4 bytes/arc) and the shared ArcIndex (tails and rev at 4 bytes/arc
-// each) — the same pricing Graph.MemBytes charges the artifact cache.
+// 4 bytes/arc) and the shared ArcIndex (tails at 4 bytes/arc) — the
+// same pricing Graph.MemBytes charges the artifact cache.
 // An implicit backend costs none of it; cmd/graphinfo prints predicted
 // vs actual so the saving is visible before a run.
 func CSRMemEstimate(n int, degreeSum int64) (adjBytes, arcIndexBytes int64) {
 	adjBytes = 8*int64(n+1) + 4*degreeSum
-	arcIndexBytes = 8 * degreeSum
+	arcIndexBytes = 4 * degreeSum
 	return adjBytes, arcIndexBytes
 }
 

@@ -252,13 +252,12 @@ func TestCSRMemEstimate(t *testing.T) {
 			t.Fatalf("%s: non-positive estimate adj=%d arc=%d", tc.topo.Name(), adj, arc)
 		}
 		// The estimate prices exactly the twin's CSR arrays and its
-		// ArcIndex (tails + rev).
+		// arc index.
 		actual := 8*int64(tc.twin.N()+1) + 4*int64(len(tc.twin.Arcs()))
 		if adj != actual {
 			t.Errorf("%s: adjacency estimate %d != actual CSR bytes %d", tc.topo.Name(), adj, actual)
 		}
-		ix := tc.twin.ArcIndex()
-		if want := 4*int64(len(ix.Tails())) + 4*int64(len(ix.Rev())); arc != want {
+		if want := 4 * int64(len(tc.twin.ArcIndex())); arc != want {
 			t.Errorf("%s: arc-index estimate %d != actual index bytes %d", tc.topo.Name(), arc, want)
 		}
 	}

@@ -187,7 +187,7 @@ func Multi(probes ...Probe) Probe {
 type metricsProbe struct {
 	steps, active, idle, skipped *Counter
 	sparseSteps                  *Counter
-	switches, toSparse, toNaive  *Counter
+	switches, toSparse, toBlock  *Counter
 	stages, twoAdjacent          *Counter
 	runs, consensus, aborted     *Counter
 	runSteps                     *Histogram
@@ -209,7 +209,7 @@ func MetricsProbe(reg *Registry) Probe {
 		sparseSteps:  reg.Counter("div_steps_sparse_regime_total"),
 		switches:     reg.Counter("div_engine_switches_total"),
 		toSparse:     reg.Counter("div_engine_switches_to_sparse_total"),
-		toNaive:      reg.Counter("div_engine_switches_to_naive_total"),
+		toBlock:      reg.Counter("div_engine_switches_to_block_total"),
 		stages:       reg.Counter("div_stage_transitions_total"),
 		twoAdjacent:  reg.Counter("div_two_adjacent_entries_total"),
 		runs:         reg.Counter("div_runs_total"),
@@ -236,7 +236,7 @@ func (m *metricsProbe) EngineSwitch(sw EngineSwitch) {
 	if sw.To == RegimeSparse {
 		m.toSparse.Inc()
 	} else {
-		m.toNaive.Inc()
+		m.toBlock.Inc()
 	}
 }
 

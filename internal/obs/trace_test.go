@@ -149,13 +149,15 @@ func TestMetricsProbe(t *testing.T) {
 	p.Done(Done{Step: 100, Winner: 1, Consensus: true})
 
 	for name, want := range map[string]int64{
-		"div_steps_total":               100,
-		"div_steps_active_total":        10,
-		"div_steps_skipped_total":       90,
-		"div_steps_sparse_regime_total": 100,
-		"div_engine_switches_total":     1,
-		"div_runs_total":                1,
-		"div_runs_consensus_total":      1,
+		"div_steps_total":                     100,
+		"div_steps_active_total":              10,
+		"div_steps_skipped_total":             90,
+		"div_steps_sparse_regime_total":       100,
+		"div_engine_switches_total":           1,
+		"div_engine_switches_to_block_total":  1,
+		"div_engine_switches_to_sparse_total": 0,
+		"div_runs_total":                      1,
+		"div_runs_consensus_total":            1,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
