@@ -39,7 +39,9 @@ import (
 // The process law is exactly the naive engine's: every scheduler
 // invocation is realized individually from the trial's own stream, with
 // the same pair distribution (on K_n the single joint draw below is the
-// same uniform ordered pair the two-draw path realizes). Idle-draw
+// same uniform ordered pair the two-draw path realizes, and on any
+// regular topology the vertex process's pair is a uniform arc, drawn
+// as the edge process draws it). Idle-draw
 // skip-sampling still pays off in the long final stage, so a row whose
 // windowed idle fraction crosses the hybrid engine's threshold hands off
 // to the discordance engine (sparse.go), borrowing the arena's shared
@@ -240,8 +242,8 @@ type kernelKind int
 const (
 	kindGeneric  kernelKind = iota // any rule, via Scheduler.Pair + Rule.Step
 	kindComplete                   // DIV on K_n: one joint bounded draw per step
-	kindVertex                     // DIV, vertex process, CSR neighbour lookup
-	kindEdge                       // DIV, edge process, uniform arc
+	kindVertex                     // DIV, vertex process on an irregular topology
+	kindEdge                       // DIV, uniform arc: edge process, or vertex process on a regular topology
 )
 
 // blockRow is one trial's slot in a block: its State (opinions aliased
@@ -391,7 +393,8 @@ func (a *blockArena) sparseFor(s *State, proc Process) (*SparseState, error) {
 type blockRun struct {
 	g *graph.Graph // nil when the run is backed by an implicit topology
 	// topo is the structure backing the kernels (== g when CSR); atopo
-	// its arc-map view, set only for the implicit edge kernel. tuned
+	// its arc-map view, set for the implicit edge process and read only
+	// on irregular topologies (regular ones draw through arcTail). tuned
 	// marks the CSR + int32 combination, which keeps the hand-tuned lane
 	// loops; every other combination (implicit topology and/or compact
 	// byte slab) runs the topology-generic loops in block_topo.go, whose
@@ -429,11 +432,18 @@ type blockRun struct {
 	// CSR lane-kernel constants: lane is true when the vertex/edge DIV
 	// kernels can run the inline 32-bit lane loops (n and arc count fit
 	// a half word — always, in practice, since vertices are int32); off
-	// and adj alias the graph's CSR arrays, tails its ArcIndex.
+	// and adj alias the graph's CSR arrays, tails its ArcIndex (irregular
+	// edge-process runs only).
 	lane  bool
 	off   []int64
 	adj   []int32
 	tails []int32
+	// Regular arc draw: deg is the constant degree d of a regular
+	// topology with arc count below 2^32, and 0 on every other run;
+	// recip is arcRecip(d), which maps an arc to its tail with one
+	// multiply (see arcTail).
+	deg   uint32
+	recip uint64
 	// laneSink absorbs the lane loops' lookahead touches of op[nextV]
 	// and op[nextW]: accumulating the loaded values into a heap field
 	// keeps the compiler from discarding the loads, which are the
@@ -551,6 +561,9 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 	} else if _, ok := topo.(*graph.ImplicitComplete); ok {
 		complete = true
 	}
+	// A regular topology whose arc indices fit a half word draws its
+	// arcs through arcTail, whose exactness needs a < 2^32.
+	regular := b.arcs == b.un*uint64(topo.MinDegree()) && b.arcs < 1<<32
 	switch {
 	case !isDIV:
 		b.kind = kindGeneric
@@ -567,24 +580,31 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 		if n <= 8192 {
 			b.magic = (1<<40)/b.d + 1
 		}
-	case cfg.Process == VertexProcess:
+	case cfg.Process == VertexProcess && !regular:
 		b.kind = kindVertex
 	default:
+		// On a d-regular topology the vertex process picks (v, w) with
+		// probability 1/n · 1/d = 1/2m, a uniform arc: one draw over the
+		// arcs realizes both processes.
 		b.kind = kindEdge
 	}
 	if b.kind == kindVertex || b.kind == kindEdge {
 		if g != nil {
 			b.off = g.Offsets()
 			b.adj = g.Arcs()
-			if b.kind == kindEdge {
-				b.tails = g.ArcIndex()
-			}
-		} else if b.kind == kindEdge {
+		} else if cfg.Process == EdgeProcess {
 			at, ok := topo.(graph.ArcTopology)
 			if !ok {
 				return nil, fmt.Errorf("core: edge process on implicit topology %q requires an arc map (graph.ArcTopology)", topo.Name())
 			}
 			b.atopo = at
+		}
+		switch {
+		case regular:
+			b.deg = uint32(topo.MinDegree())
+			b.recip = arcRecip(b.deg)
+		case b.kind == kindEdge && g != nil:
+			b.tails = g.ArcIndex()
 		}
 		b.lane = b.un <= 1<<32-1 && (b.kind == kindVertex || b.arcs <= 1<<32-1)
 		if !b.lane && !b.tuned {
@@ -1101,11 +1121,35 @@ func (b *blockRun) drawLaneVertex(row *blockRow) {
 	row.nextDeg = int64(d32)
 }
 
-// drawLaneEdge is drawLaneVertex's edge-process counterpart: one
+// arcRecip returns ⌈2^64/d⌉ for d ≥ 2, and 0 for d = 1 (where
+// 2^64 − 1 + 1 wraps): the multiplier arcTail divides by d with.
+func arcRecip(d uint32) uint64 {
+	return ^uint64(0)/uint64(d) + 1
+}
+
+// arcTail returns ⌊a/d⌋, the tail of arc a on a d-regular topology
+// (vertex v owns arcs v·d … v·d+d−1), as hi64(recip·a) with recip =
+// arcRecip(d); recip = 0 is d = 1, the identity. Exact for every
+// a < 2^32 and d < 2^32: write recip = (2^64 + e)/d with 0 ≤ e < d and
+// a = qd + r with r ≤ d−1; then recip·a/2^64 = q + (r + a·e/2^64)/d,
+// and a·e < 2^32·d ≤ 2^64 keeps r + a·e/2^64 below d, so the floor
+// is q.
+func arcTail(a uint32, recip uint64) uint32 {
+	if recip == 0 {
+		return a
+	}
+	hi, _ := bits.Mul64(recip, uint64(a))
+	return uint32(hi)
+}
+
+// drawLaneEdge is drawLaneVertex's uniform-arc counterpart, serving the
+// edge process and, on a regular topology, the vertex process: one
 // half-word Lemire draw over the fixed arc count selects a directed
-// arc, endpoints come from the shared tails/heads arrays, and the
-// tail's degree (needed by the degree-mass update) is read from the
-// CSR offsets at pre-draw time, which doubles as its prefetch.
+// arc, whose head is adj[a]. On a regular run the tail is arcTail(a)
+// and the degree the constant d, so the draw reads no tails slice and
+// no offsets; otherwise the tail comes from the shared tails array and
+// its degree (needed by the degree-mass update) from the CSR offsets
+// at pre-draw time, which doubles as its prefetch.
 func (b *blockRun) drawLaneEdge(row *blockRow) {
 	st := &row.stream
 	a32 := uint32(b.arcs)
@@ -1125,9 +1169,14 @@ func (b *blockRun) drawLaneEdge(row *blockRow) {
 			break
 		}
 	}
+	row.nextW = b.adj[ai]
+	if b.deg != 0 {
+		row.nextV = int32(arcTail(ai, b.recip))
+		row.nextDeg = int64(b.deg)
+		return
+	}
 	v := b.tails[ai]
 	row.nextV = v
-	row.nextW = b.adj[ai]
 	row.nextDeg = b.off[v+1] - b.off[v]
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"testing"
 
@@ -434,6 +435,111 @@ func TestCompleteMagicDivide(t *testing.T) {
 	}
 	for _, n := range []int{2, 3, 4, 5, 17, 100, 1000, 3200, 8191, 8192} {
 		check(n)
+	}
+}
+
+// TestArcTailReciprocal checks the regular arc draw's divide-free tail
+// against a/d. Failures can only occur just below quotient boundaries,
+// where frac(a/d) is maximal, and grow with a, so the test checks
+// a = kd−1, kd, kd+d−1 for the first and last 4096 quotients below
+// 2^32 and a stride across the rest, plus a = 2^32−1.
+func TestArcTailReciprocal(t *testing.T) {
+	check := func(d uint32) {
+		recip := arcRecip(d)
+		if d == 1 && recip != 0 {
+			t.Fatalf("d=1: arcRecip %d, want 0", recip)
+		}
+		if d > 1 {
+			if q, r := bits.Div64(1, 0, uint64(d)); recip != q+uint64(b2i(r != 0)) {
+				t.Fatalf("d=%d: arcRecip %d, want ⌈2^64/d⌉", d, recip)
+			}
+		}
+		verify := func(a uint64) {
+			if a >= 1<<32 {
+				return
+			}
+			if got, want := arcTail(uint32(a), recip), uint32(a/uint64(d)); got != want {
+				t.Fatalf("d=%d a=%d: arcTail %d, want %d", d, a, got, want)
+			}
+		}
+		dd := uint64(d)
+		last := (uint64(1)<<32 - 1) / dd
+		stride := last>>12 + 1
+		for k := uint64(0); k <= last; {
+			for _, a := range []uint64{k*dd - 1, k * dd, k*dd + dd - 1} {
+				verify(a) // k = 0's kd−1 wraps past 2^32 and is skipped
+			}
+			switch {
+			case k < 4096 || last-k <= 4096:
+				k++
+			default:
+				k = min(k+stride, last-4096)
+			}
+		}
+		verify(1<<32 - 1)
+	}
+	for d := uint32(1); d <= 64; d++ {
+		check(d)
+	}
+	for _, d := range []uint32{255, 256, 257, 1000, 65535, 65537} {
+		check(d)
+	}
+}
+
+// TestBlockKernelSelection pins newBlockRun's choice of DIV kernel:
+// the vertex process takes the uniform-arc kernel on a regular topology
+// whose arc count fits a half word, and reads no arc index there, while
+// irregular topologies and a regular one with 2m = 2^32 keep the
+// vertex kernel. No Scratch is passed, so nothing O(n) is allocated.
+func TestBlockKernelSelection(t *testing.T) {
+	bigCycle, err := graph.NewImplicitCycle(1 << 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	belowCycle, err := graph.NewImplicitCycle(1<<31 - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := graph.NewImplicitPath(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := graph.NewImplicitTorus(6, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := graph.RandomRegularSeeded(1<<10, 8, 0x7e64, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := func(int, []int, *rand.Rand) error { return nil }
+	for _, tc := range []struct {
+		name  string
+		topo  graph.Topology
+		proc  Process
+		kind  kernelKind
+		deg   uint32
+		tails bool // the run reads the CSR arc index
+	}{
+		{"rr/vertex", rr, VertexProcess, kindEdge, 8, false},
+		{"rr/edge", rr, EdgeProcess, kindEdge, 8, false},
+		{"torus/vertex", torus, VertexProcess, kindEdge, 4, false},
+		{"cycle 2^31-1/vertex", belowCycle, VertexProcess, kindEdge, 2, false},
+		{"cycle 2^31/vertex", bigCycle, VertexProcess, kindVertex, 0, false},
+		{"path/vertex", graph.Path(17), VertexProcess, kindVertex, 0, false},
+		{"path/edge", graph.Path(17), EdgeProcess, kindEdge, 0, true},
+		{"implicit path/vertex", path, VertexProcess, kindVertex, 0, false},
+		{"star/vertex", graph.Star(17), VertexProcess, kindVertex, 0, false},
+		{"star/edge", graph.Star(17), EdgeProcess, kindEdge, 0, true},
+	} {
+		b, err := newBlockRun(BlockConfig{Topology: tc.topo, Process: tc.proc, Init: init, MaxSteps: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if b.kind != tc.kind || b.deg != tc.deg || (b.tails != nil) != tc.tails {
+			t.Errorf("%s: kind %d deg %d tails %v, want kind %d deg %d tails %v",
+				tc.name, b.kind, b.deg, b.tails != nil, tc.kind, tc.deg, tc.tails)
+		}
 	}
 }
 

@@ -234,9 +234,11 @@ func drawLaneTopoVertex(b *blockRun, row *blockRow) {
 }
 
 // drawLaneTopoEdge is drawLaneEdge with the arc resolved through the
-// CSR tails/heads arrays when present and the topology's arc map
-// otherwise (vertex-major arc order on both, so the same index yields
-// the same pair).
+// CSR arrays when present and the topology otherwise (vertex-major arc
+// order on both, so the same index yields the same pair): on a regular
+// run the tail is arcTail(a) and the head adj[a] or Neighbor(v, a−v·d),
+// with no Arc or Degree call; on an irregular one the CSR tails/heads
+// arrays or the topology's arc map.
 func drawLaneTopoEdge(b *blockRun, row *blockRow) {
 	st := &row.stream
 	a32 := uint32(b.arcs)
@@ -255,6 +257,17 @@ func drawLaneTopoEdge(b *blockRun, row *blockRow) {
 			ai = uint32(prod >> 32)
 			break
 		}
+	}
+	if b.deg != 0 {
+		v := arcTail(ai, b.recip)
+		row.nextV = int32(v)
+		if b.adj != nil {
+			row.nextW = b.adj[ai]
+		} else {
+			row.nextW = int32(b.topo.Neighbor(int(v), int(ai-v*b.deg)))
+		}
+		row.nextDeg = int64(b.deg)
+		return
 	}
 	if b.tails != nil {
 		v := b.tails[ai]

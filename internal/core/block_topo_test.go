@@ -264,6 +264,66 @@ func TestBlockTopoHashedRegular(t *testing.T) {
 	}
 }
 
+// TestBlockTopoRegularProcesses pins the uniform-arc kernel selection:
+// on a d-regular topology the vertex process picks (v, w) with
+// probability 1/(n·d) = 1/2m, so it runs the edge process's arc draw,
+// and at the same seed its Results equal the edge process's trial for
+// trial on every backend and representation. EngineAuto is covered
+// too: on a regular topology the discordance engine draws a uniform
+// discordant arc for both processes.
+func TestBlockTopoRegularProcesses(t *testing.T) {
+	rr, err := graph.RandomRegularSeeded(1<<10, 8, 0x7e61, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := graph.NewHashedRegular(1<<10, 8, 0x7e62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, errCy := graph.NewImplicitCycle(24)
+	torus, errT := graph.NewImplicitTorus(6, 8)
+	cube, errH := graph.NewImplicitHypercube(4)
+	circ, errR := graph.NewImplicitCirculant(48, []int{1, 2, 3})
+	for _, err := range []error{errCy, errT, errH, errR} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	trials := 4
+	if testing.Short() {
+		trials = 2
+	}
+	for _, tc := range []struct {
+		name    string
+		topo    graph.Topology
+		compact bool
+	}{
+		{"rr/int32", rr, false},
+		{"rr/compact", rr, true},
+		{"hashed/compact", hashed, true},
+		{"cycle", cycle, false},
+		{"torus", torus, false},
+		{"hypercube", cube, false},
+		{"circulant", circ, false},
+	} {
+		for _, eng := range []Engine{EngineNaive, EngineAuto} {
+			for _, block := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%v/B%d", tc.name, eng, block), func(t *testing.T) {
+					seed := uint64(0x7e63) + uint64(tc.topo.N())
+					vtx := runTopoBlock(t, tc.topo, tc.compact, VertexProcess, eng, 4, seed, trials, block)
+					edge := runTopoBlock(t, tc.topo, tc.compact, EdgeProcess, eng, 4, seed, trials, block)
+					for i := range vtx {
+						if resultKey(vtx[i]) != resultKey(edge[i]) {
+							t.Errorf("trial %d: vertex process diverged from edge process:\n  vertex %s\n  edge   %s",
+								i, resultKey(vtx[i]), resultKey(edge[i]))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestBlockTopoValidation pins the error surface of the new config
 // combinations.
 func TestBlockTopoValidation(t *testing.T) {

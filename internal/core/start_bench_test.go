@@ -12,8 +12,9 @@ import (
 // This file times the start of a trial at n = 10⁶, d = 8 — the fixed
 // work an endgame trial does before its first draw — on CSR rr(10⁶, 8)
 // with int32 opinions and on HashedRegular(10⁶, 8) with compact
-// opinions. DESIGN.md §6 records these numbers against the previous
-// implementation.
+// opinions, and whole trials at the endgame and reduce-rr benchmark
+// workloads' shapes. DESIGN.md §6 and §11 record these numbers against
+// the previous implementations.
 
 const startN, startD = 1_000_000, 8
 
@@ -139,6 +140,49 @@ func BenchmarkBlockEndgameTrial(b *testing.B) {
 			})
 		})
 	}
+}
+
+// BenchmarkBlockReduceTrial times warm RunBlock calls at the reduce-rr
+// benchmark workload's shape, Theorem 1's reduction on CSR rr(2¹⁴, 8):
+// k = 8 uniform opinions, the vertex process stopped at two adjacent
+// opinions, EngineAuto, one block of B = 8 trials per call. Almost all
+// of it is blocked stepping on the uniform-arc kernel.
+func BenchmarkBlockReduceTrial(b *testing.B) {
+	const n, k, block = 1 << 14, 8, 8
+	g, err := graph.RandomRegularSeeded(n, startD, 0x5eed9, graph.BuildOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := BlockConfig{
+		Graph:   g,
+		Process: VertexProcess,
+		Engine:  EngineAuto,
+		Stop:    UntilTwoAdjacent,
+		Seed:    0x5eeda,
+		Block:   block,
+		Scratch: NewScratch(g),
+		Init: func(_ int, dst []int, r *rand.Rand) error {
+			UniformOpinionsInto(dst, k, r)
+			return nil
+		},
+	}
+	out := make([]Result, block)
+	if err := RunBlock(cfg, 0, block, out); err != nil { // warm the scratch
+		b.Fatal(err)
+	}
+	var steps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := (i + 1) * block
+		if err := RunBlock(cfg, t0, t0+block, out); err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range out {
+			steps += r.Steps
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportMetric(float64(steps)/float64(b.N*block), "steps/trial")
 }
 
 // benchBlockTrial times warm one-trial RunBlock calls on be.

@@ -55,8 +55,9 @@ type CompareMetric struct {
 // CompareResult is the outcome of CompareReports.
 type CompareResult struct {
 	Metrics []CompareMetric
-	// Skipped lists row keys present in only one report (and the E2
-	// section when its configuration differs) — compared against
+	// Skipped lists row keys present in only one report, the E2
+	// section when its configuration differs, and throughput or
+	// latency metrics the old report holds at 0 — compared against
 	// nothing, flagged so a silently shrunk report can't pass as clean.
 	Skipped     []string
 	Regressions int
@@ -68,35 +69,45 @@ type compareCtx struct {
 	res  *CompareResult
 }
 
-// higherBetter records a throughput-style metric: regression when the
-// new value drops more than Threshold below the old.
-func (c *compareCtx) higherBetter(name string, old, new float64) {
-	m := CompareMetric{Name: name, Old: old, New: new}
-	if old > 0 {
-		m.Change = (old - new) / old
-		m.Regressed = m.Change > c.opts.Threshold
+// noBaseline lists a metric whose old value is 0 under Skipped and
+// reports true: an old report that lacks the field reads 0 there, and
+// a relative change against 0 compares nothing.
+func (c *compareCtx) noBaseline(name string, old float64) bool {
+	if old != 0 {
+		return false
 	}
-	if m.Regressed {
+	c.res.Skipped = append(c.res.Skipped, name+": no baseline in old report")
+	return true
+}
+
+// record appends m, flagging it when its change exceeds Threshold.
+func (c *compareCtx) record(m CompareMetric) {
+	if m.Change > c.opts.Threshold {
+		m.Regressed = true
 		c.res.Regressions++
 	}
 	c.res.Metrics = append(c.res.Metrics, m)
+}
+
+// higherBetter records a throughput-style metric: regression when the
+// new value drops more than Threshold below the old.
+func (c *compareCtx) higherBetter(name string, old, new float64) {
+	if !c.noBaseline(name, old) {
+		c.record(CompareMetric{Name: name, Old: old, New: new, Change: (old - new) / old})
+	}
 }
 
 // lowerBetter records a latency-style metric: regression when the new
 // value rises more than Threshold above the old.
 func (c *compareCtx) lowerBetter(name string, old, new float64) {
-	m := CompareMetric{Name: name, Old: old, New: new}
-	if old > 0 {
-		m.Change = (new - old) / old
-		m.Regressed = m.Change > c.opts.Threshold
+	if !c.noBaseline(name, old) {
+		c.record(CompareMetric{Name: name, Old: old, New: new, Change: (new - old) / old})
 	}
-	if m.Regressed {
-		c.res.Regressions++
-	}
-	c.res.Metrics = append(c.res.Metrics, m)
 }
 
 // allocs records an allocation-count metric with the absolute floor.
+// A 0 baseline is compared like any other: 0 allocs/step is a real
+// value, not a missing field.
 func (c *compareCtx) allocs(name string, old, new float64) {
 	m := CompareMetric{Name: name, Old: old, New: new}
 	if old > 0 {

@@ -153,6 +153,18 @@ func TestCompareDissenterGuard(t *testing.T) {
 	if res.Regressions != 0 || len(res.Skipped) != 1 {
 		t.Fatalf("one-sided dissenter section: regressions=%d skipped=%v", res.Regressions, res.Skipped)
 	}
+	// An old report that predates a field reads 0 there: the metric has
+	// no baseline, so it skips instead of passing as compared.
+	res = CompareReports(withDiss(19, 0.6, 0), withDiss(19, 0.6, 4.146), CompareOptions{})
+	const peak = "bign.dissenter.sparse_peak_bytes_per_vertex"
+	if len(res.Skipped) != 1 || res.Skipped[0] != peak+": no baseline in old report" {
+		t.Fatalf("field missing from the old report not skipped: %v", res.Skipped)
+	}
+	for _, m := range res.Metrics {
+		if m.Name == peak {
+			t.Fatalf("metric without a baseline compared: %+v", m)
+		}
+	}
 }
 
 func TestCompareBuildGuard(t *testing.T) {
