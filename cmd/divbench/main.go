@@ -12,9 +12,6 @@
 //	divbench -csv out/       # also write each table as CSV
 //	divbench -seed 7         # change the master seed
 //	divbench -engine naive   # force the reference stepping engine
-//	divbench -serial         # pre-scheduler behavior: experiments in
-//	                         # order, sweeps on the per-experiment
-//	                         # worker path (same results, no overlap)
 //	divbench -min-util 100   # fail if pool utilization < 100‰ (10%)
 //	divbench -metrics        # print the aggregated metrics snapshot on exit
 //	divbench -trace t.jsonl  # write a JSONL probe trace of every core run
@@ -69,9 +66,8 @@ func main() {
 		csvDir     = flag.String("csv", "", "directory to write per-table CSV files into")
 		par        = flag.Int("parallelism", 0, "worker goroutines (0 = GOMAXPROCS)")
 		engine     = flag.String("engine", "auto", "stepping engine for every run: naive, fast, or auto")
-		serial     = flag.Bool("serial", false, "pre-scheduler behavior: experiments in order, every sweep through the per-experiment worker path (results are byte-identical either way)")
 		block      = flag.Int("block", 0, "trials per block for the blocked stepping kernel (0 = core default); results are byte-identical across block sizes")
-		minUtil    = flag.Int("min-util", 0, "fail the run if work-stealing pool utilization is below this many permille (scheduled mode only)")
+		minUtil    = flag.Int("min-util", 0, "fail the run if work-stealing pool utilization is below this many permille")
 		metrics    = flag.Bool("metrics", false, "print the aggregated metrics snapshot on exit")
 		traceFile  = flag.String("trace", "", "write a JSONL probe trace of every core run to this file (line order across parallel trials is scheduler-dependent)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and the expvar metrics snapshot on this address during the run")
@@ -143,7 +139,7 @@ func main() {
 		fmt.Printf("pprof: serving /debug/pprof/ and /debug/vars on http://%s\n", *pprofAddr)
 	}
 
-	params := exp.Params{Quick: !*full, Seed: *seed, Parallelism: *par, Engine: *engine, Serial: *serial, Block: *block}
+	params := exp.Params{Quick: !*full, Seed: *seed, Parallelism: *par, Engine: *engine, Block: *block}
 	prov := obs.CollectProvenance("divbench", params.Seed, *engine)
 	var progress *obs.Progress
 	if *serveAddr != "" {
@@ -179,10 +175,9 @@ func main() {
 	// failures must reach the exit status, not just stderr.
 	var failed []string
 
-	// Scheduled mode runs every experiment concurrently — their sweeps
-	// interleave trials on the shared work-stealing pool — while output
-	// streams strictly in definition order. -serial mode runs one at a
-	// time at print time.
+	// Every experiment runs concurrently — their sweeps interleave
+	// trials on the shared work-stealing pool — while output streams
+	// strictly in definition order.
 	type outcome struct {
 		rep     *exp.Report
 		err     error
@@ -204,19 +199,12 @@ func main() {
 	busy0 := pool.BusyNanos()
 	suiteSpan := obs.Default.Span(obs.SpanSuite)
 	suiteStart := time.Now()
-	if !*serial {
-		for i, d := range defs {
-			results[i] = make(chan outcome, 1)
-			go func(ch chan<- outcome, d exp.Def) { ch <- runDef(d) }(results[i], d)
-		}
+	for i, d := range defs {
+		results[i] = make(chan outcome, 1)
+		go func(ch chan<- outcome, d exp.Def) { ch <- runDef(d) }(results[i], d)
 	}
 	for i, d := range defs {
-		var o outcome
-		if results[i] != nil {
-			o = <-results[i]
-		} else {
-			o = runDef(d)
-		}
+		o := <-results[i]
 		if o.err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", d.ID, o.err)
 			failed = append(failed, fmt.Sprintf("%s: experiment error: %v", d.ID, o.err))
@@ -256,16 +244,14 @@ func main() {
 	suiteWall := time.Since(suiteStart)
 	suiteSpan.End()
 
-	fmt.Printf("\nsuite: %d experiment(s) in %v", len(defs), suiteWall.Round(time.Millisecond))
-	if !*serial {
-		util := 0.0
-		if suiteWall > 0 {
-			util = float64(pool.BusyNanos()-busy0) / (float64(pool.Width()) * float64(suiteWall.Nanoseconds()))
-		}
-		fmt.Printf(", pool width %d, utilization %.1f%%", pool.Width(), 100*util)
-		if *minUtil > 0 && int(1000*util) < *minUtil {
-			failed = append(failed, fmt.Sprintf("pool utilization %d‰ below floor %d‰", int(1000*util), *minUtil))
-		}
+	util := 0.0
+	if suiteWall > 0 {
+		util = float64(pool.BusyNanos()-busy0) / (float64(pool.Width()) * float64(suiteWall.Nanoseconds()))
+	}
+	fmt.Printf("\nsuite: %d experiment(s) in %v, pool width %d, utilization %.1f%%",
+		len(defs), suiteWall.Round(time.Millisecond), pool.Width(), 100*util)
+	if *minUtil > 0 && int(1000*util) < *minUtil {
+		failed = append(failed, fmt.Sprintf("pool utilization %d‰ below floor %d‰", int(1000*util), *minUtil))
 	}
 	hits, misses, evictions, bytes := graph.SharedCache().Stats()
 	fmt.Printf("\ngraph cache: %d hits, %d misses, %d evictions, %.1f MB resident\n", hits, misses, evictions, float64(bytes)/(1<<20))

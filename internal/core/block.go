@@ -393,8 +393,8 @@ func (a *blockArena) sparseFor(s *State, proc Process) (*SparseState, error) {
 type blockRun struct {
 	g *graph.Graph // nil when the run is backed by an implicit topology
 	// topo is the structure backing the kernels (== g when CSR); atopo
-	// its arc-map view, set for the implicit edge process and read only
-	// on irregular topologies (regular ones draw through arcTail). tuned
+	// its arc-map view, set only for the edge process on an irregular
+	// implicit topology (regular ones draw through arcTail). tuned
 	// marks the CSR + int32 combination, which keeps the hand-tuned lane
 	// loops; every other combination (implicit topology and/or compact
 	// byte slab) runs the topology-generic loops in block_topo.go, whose
@@ -589,13 +589,23 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 		b.kind = kindEdge
 	}
 	if b.kind == kindVertex || b.kind == kindEdge {
-		if g != nil {
+		b.lane = b.un <= 1<<32-1 && (b.kind == kindVertex || b.arcs <= 1<<32-1)
+		if !b.lane && !b.tuned {
+			// The full-word fallback kernels are CSR + int32 only; the
+			// generic lane loops cover every realistic size (n and arc
+			// count below 2^32).
+			return nil, fmt.Errorf("core: implicit/compact blocked runs require n and arc count < 2^32")
+		}
+		switch {
+		case g != nil:
 			b.off = g.Offsets()
 			b.adj = g.Arcs()
-		} else if cfg.Process == EdgeProcess {
+		case b.kind == kindEdge && !regular:
+			// Only an irregular arc draw reads the arc map; a regular
+			// one finds the tail through arcTail.
 			at, ok := topo.(graph.ArcTopology)
 			if !ok {
-				return nil, fmt.Errorf("core: edge process on implicit topology %q requires an arc map (graph.ArcTopology)", topo.Name())
+				return nil, fmt.Errorf("core: edge process on irregular implicit topology %q requires an arc map (graph.ArcTopology)", topo.Name())
 			}
 			b.atopo = at
 		}
@@ -605,13 +615,6 @@ func newBlockRun(cfg BlockConfig) (*blockRun, error) {
 			b.recip = arcRecip(b.deg)
 		case b.kind == kindEdge && g != nil:
 			b.tails = g.ArcIndex()
-		}
-		b.lane = b.un <= 1<<32-1 && (b.kind == kindVertex || b.arcs <= 1<<32-1)
-		if !b.lane && !b.tuned {
-			// The full-word fallback kernels are CSR + int32 only; the
-			// generic lane loops cover every realistic size (n and arc
-			// count below 2^32).
-			return nil, fmt.Errorf("core: implicit/compact blocked runs require n and arc count < 2^32")
 		}
 	}
 	// Hand-off eligibility: every pairwise rule on the tuned CSR+int32

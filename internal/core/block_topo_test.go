@@ -337,6 +337,10 @@ func TestBlockTopoValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path, err := graph.NewImplicitPath(16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	initK := func(k int) func(int, []int, *rand.Rand) error {
 		return func(trial int, dst []int, r *rand.Rand) error {
 			for i := range dst {
@@ -356,7 +360,7 @@ func TestBlockTopoValidation(t *testing.T) {
 	}{
 		{"fast engine on implicit complete", BlockConfig{Topology: kn, Engine: EngineFast, Init: initK(3)}},
 		{"graph and mismatched topology", BlockConfig{Graph: other, Topology: torus, Init: initK(3)}},
-		{"edge process without arc map", BlockConfig{Topology: noArcTopo{torus}, Process: EdgeProcess, Init: initK(3)}},
+		{"edge process on an irregular topology without arc map", BlockConfig{Topology: noArcTopo{path}, Process: EdgeProcess, Init: initK(3)}},
 		{"compact window over 256", BlockConfig{Topology: wide, Compact: true, Init: initK(300), MaxSteps: 10, Stop: UntilMaxSteps}},
 	}
 	for _, tc := range cases {
@@ -380,6 +384,19 @@ func TestBlockTopoValidation(t *testing.T) {
 	} {
 		if err := RunBlock(tc.cfg, 0, 1, out); err != nil {
 			t.Errorf("%s: RunBlock rejected a sparse-eligible config: %v", tc.name, err)
+		}
+	}
+	// A regular topology's arc draw finds the tail by arcTail and never
+	// reads an arc map, so the edge process runs without one and its
+	// Results equal the torus's trial for trial.
+	for _, eng := range []Engine{EngineNaive, EngineAuto} {
+		want := runTopoBlock(t, torus, false, EdgeProcess, eng, 3, 0x7e64, 4, 8)
+		got := runTopoBlock(t, noArcTopo{torus}, false, EdgeProcess, eng, 3, 0x7e64, 4, 8)
+		for i := range want {
+			if resultKey(got[i]) != resultKey(want[i]) {
+				t.Errorf("%v: trial %d without arc map diverged:\n  got  %s\n  want %s",
+					eng, i, resultKey(got[i]), resultKey(want[i]))
+			}
 		}
 	}
 }

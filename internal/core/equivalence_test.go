@@ -252,7 +252,7 @@ func TestHybridSwitchingEquivalence(t *testing.T) {
 
 // TestScratchReuseDistributionEquivalence holds the reused-scratch
 // trial pipeline to the same α = 0.001 standard: a fast-engine sample
-// drawn through one dirtied Scratch (as TrialsWorker's workers do) must
+// drawn through one dirtied Scratch (as each sweep worker's is) must
 // match the naive engine's fresh-allocation law in winners and stopping
 // times. The byte-identity test (scratch_test.go) proves reuse cannot
 // change any trajectory; this arm guards the whole statistical pipeline

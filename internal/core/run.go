@@ -411,8 +411,8 @@ func nan() float64 {
 
 // RunMany executes trials independent runs of cfg with per-trial
 // derived seeds and returns every result. It is a convenience for
-// tests; the experiment harness in internal/sim adds parallelism and
-// aggregation on top of Run.
+// tests; the experiments' sweeps (internal/exp) schedule trials on the
+// work-stealing pool instead.
 func RunMany(cfg Config, trials int) ([]Result, error) {
 	results := make([]Result, trials)
 	for t := 0; t < trials; t++ {

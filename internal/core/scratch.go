@@ -19,8 +19,8 @@ var scratchReuseTotal = obs.Default.Counter("core_scratch_reuse_total")
 // holds the discordance engine's SparseStates that EngineFast and
 // EngineAuto reseed — are allocated once and reset in place by each
 // run, so a steady-state trial performs O(1) allocations instead of
-// O(n). Wire one into Config.Scratch or BlockConfig.Scratch (the sim
-// harness's TrialsWorker does this per worker goroutine).
+// O(n). Wire one into Config.Scratch or BlockConfig.Scratch (the
+// sweeps in internal/exp keep one per pool worker and graph).
 //
 // A Scratch is not safe for concurrent use: it must be owned by a
 // single goroutine, and at most one Run may use it at a time. Reuse is

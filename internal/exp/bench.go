@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"div/internal/graph"
 	"div/internal/obs"
 	"div/internal/rng"
-	"div/internal/sched"
 )
 
 // This file is the machine-readable perf harness behind
@@ -87,29 +85,6 @@ type BenchE2 struct {
 	SpeedupVsBaseline     float64 `json:"speedup_vs_baseline"`
 }
 
-// BenchSuite compares one full quick-suite pass run serially (the
-// pre-scheduler path: experiments in order, every sweep through
-// sim.TrialsWorker) against the same pass on the work-stealing
-// scheduler (experiments concurrent, trials interleaved across
-// experiments and points). The two passes produce byte-identical
-// reports; only the wall clock differs.
-type BenchSuite struct {
-	Experiments      []string `json:"experiments"`
-	GOMAXPROCS       int      `json:"gomaxprocs"`
-	PoolWidth        int      `json:"pool_width"`
-	SerialSeconds    float64  `json:"serial_seconds"`
-	ScheduledSeconds float64  `json:"scheduled_seconds"`
-	// Speedup is serial/scheduled wall clock; ≈1 on a single-core
-	// runner, and the acceptance target (≥1.3×) applies to multi-core
-	// hardware.
-	Speedup float64 `json:"speedup"`
-	// PoolUtilization is busy-worker-nanos / (width · scheduled wall),
-	// in [0,1], for the scheduled pass.
-	PoolUtilization float64 `json:"pool_utilization"`
-	CacheHits       int64   `json:"graph_cache_hits"`
-	CacheMisses     int64   `json:"graph_cache_misses"`
-}
-
 // BenchReport is the document written to BENCH_engine.json.
 type BenchReport struct {
 	Quick bool   `json:"quick"`
@@ -120,7 +95,6 @@ type BenchReport struct {
 	Provenance *obs.Provenance `json:"provenance,omitempty"`
 	Baseline   BenchBaseline   `json:"baseline_pre_pipeline"`
 	E2         BenchE2         `json:"e2_point"`
-	Suite      BenchSuite      `json:"suite"`
 	// Scaling is the multicore section (scaling.go), present when the
 	// run requested a width sweep (`divbench -widths`).
 	Scaling *BenchScaling `json:"scaling,omitempty"`
@@ -380,55 +354,8 @@ func BenchEngine(p Params) (*BenchReport, error) {
 		rep.E2.SpeedupVsBaseline = rep.E2.BestBlockTrialsPerSec / e2BaselineTrialsPerSec
 	}
 
-	suite, err := benchSuite(p)
-	if err != nil {
-		return nil, err
-	}
-	rep.Suite = *suite
 	prov = prov.WithMemStats()
 	return rep, nil
-}
-
-// benchSuite runs the quick suite twice — serial, then scheduled — and
-// records both wall clocks. Quick sizes regardless of p.Quick: the
-// point is the scheduling comparison, not the workload size.
-func benchSuite(p Params) (*BenchSuite, error) {
-	s := &BenchSuite{GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, d := range All {
-		s.Experiments = append(s.Experiments, d.ID)
-	}
-	sp := Params{Quick: true, Seed: p.Seed, Parallelism: p.Parallelism, Engine: p.Engine}
-	run := func(serial bool) (time.Duration, error) {
-		rp := sp
-		rp.Serial = serial
-		start := time.Now()
-		_, errs := RunAll(rp, All)
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	serialDur, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("bench suite (serial): %w", err)
-	}
-	pool := sched.Shared(sp.Parallelism)
-	busy0 := pool.BusyNanos()
-	schedDur, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("bench suite (scheduled): %w", err)
-	}
-	s.PoolWidth = pool.Width()
-	s.SerialSeconds = serialDur.Seconds()
-	s.ScheduledSeconds = schedDur.Seconds()
-	if schedDur > 0 {
-		s.Speedup = serialDur.Seconds() / schedDur.Seconds()
-		s.PoolUtilization = float64(pool.BusyNanos()-busy0) / (float64(pool.Width()) * float64(schedDur.Nanoseconds()))
-	}
-	s.CacheHits, s.CacheMisses, _, _ = graph.SharedCache().Stats()
-	return s, nil
 }
 
 // WriteJSON renders the report as one indented JSON document.

@@ -23,11 +23,6 @@ func sampleBenchReport() *BenchReport {
 			BlockTrialsPerSec: map[int]float64{1: 110, 8: 130},
 			BestBlock:         8, BestBlockTrialsPerSec: 130, BestBlockNsPerStep: 45,
 		},
-		Suite: BenchSuite{
-			Experiments: []string{"E1", "E2"}, GOMAXPROCS: 1, PoolWidth: 1,
-			SerialSeconds: 2.0, ScheduledSeconds: 1.5, Speedup: 4.0 / 3.0,
-			PoolUtilization: 0.9, CacheHits: 3, CacheMisses: 5,
-		},
 		Scaling: &BenchScaling{
 			CPUsOnline: 1,
 			Widths: []BenchWidthPoint{
@@ -68,7 +63,7 @@ func TestBenchReportJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	for _, key := range []string{"quick", "note", "baseline_pre_pipeline", "e2_point", "suite", "scaling", "rows"} {
+	for _, key := range []string{"quick", "note", "baseline_pre_pipeline", "e2_point", "scaling", "rows"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("top-level key %q missing", key)
 		}
@@ -80,15 +75,6 @@ func TestBenchReportJSONSchema(t *testing.T) {
 	for _, key := range []string{"n", "k", "trials", "steps", "trials_per_sec_fresh", "trials_per_sec_reused", "ns_per_step_reused", "speedup_vs_baseline", "block_trials_per_sec", "best_block", "best_block_trials_per_sec", "best_block_ns_per_step"} {
 		if _, ok := e2[key]; !ok {
 			t.Errorf("e2_point key %q missing", key)
-		}
-	}
-	suite, ok := doc["suite"].(map[string]any)
-	if !ok {
-		t.Fatalf("suite is %T, want object", doc["suite"])
-	}
-	for _, key := range []string{"experiments", "gomaxprocs", "pool_width", "serial_seconds", "scheduled_seconds", "speedup", "pool_utilization", "graph_cache_hits", "graph_cache_misses"} {
-		if _, ok := suite[key]; !ok {
-			t.Errorf("suite key %q missing", key)
 		}
 	}
 	scaling, ok := doc["scaling"].(map[string]any)
@@ -168,9 +154,6 @@ func TestBenchReportJSONRoundTrip(t *testing.T) {
 	}
 	if len(out.Rows) != len(in.Rows) || out.Rows[0] != in.Rows[0] {
 		t.Errorf("round trip changed Rows: %+v", out.Rows)
-	}
-	if out.Suite.PoolWidth != in.Suite.PoolWidth || out.Suite.Speedup != in.Suite.Speedup {
-		t.Errorf("round trip changed Suite: %+v", out.Suite)
 	}
 	if !reflect.DeepEqual(out.Scaling, in.Scaling) {
 		t.Errorf("round trip changed Scaling: %+v vs %+v", out.Scaling, in.Scaling)

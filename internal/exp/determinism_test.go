@@ -28,38 +28,40 @@ func suiteText(t *testing.T, p Params) string {
 // TestSuiteByteIdentityWidthBlockMatrix is the suite's determinism
 // gate for the work-stealing sweep scheduler and the blocked stepping
 // kernel together: at a fixed seed the full quick-suite report must be
-// byte-identical whether sweeps run on the pre-scheduler serial path or
-// on a pool of any width, with trials interleaving across experiments
-// and points, and at any block size, one trial per block or eight
-// interleaved in SoA slabs. Each trial's randomness is a counter-based
-// stream keyed only by (point seed, trial index), and every result is
-// written to its own index-addressed slot, so neither scheduling order
-// nor block geometry may be observable.
+// byte-identical on a pool of any width, with trials interleaving
+// across experiments and points, and at any block size, one trial per
+// block or eight interleaved in SoA slabs. Each trial's randomness is a
+// counter-based stream keyed only by (point seed, trial index), and
+// every result is written to its own index-addressed slot, so neither
+// scheduling order nor block geometry may be observable.
 //
-// The serial block=8 report is the one reference. Against it run pool
-// widths {1, 2, 4, max(4, GOMAXPROCS)} crossed with block sizes {1, 8},
-// the Params defaults (width 0 = GOMAXPROCS, block 0 =
-// core.DefaultBlock) and width 0 at block 1; a cell that resolves to a
-// configuration already run is skipped. Under -short
-// the matrix shrinks to width 2 at both block sizes — the CI race
-// matrix runs that trimmed form at GOMAXPROCS 2 and 4, which varies
-// the real scheduling interleave underneath the same comparison.
+// The one-worker block=8 report is the one reference: a single pool
+// worker runs every task one after another. Against it run pool widths
+// {1, 2, 4, max(4, GOMAXPROCS)} crossed with block sizes {1, 8}, the
+// Params defaults (width 0 = GOMAXPROCS, block 0 = core.DefaultBlock)
+// and width 0 at block 1; a cell that resolves to a configuration
+// already run, the reference included, is skipped. TestSweepResultSlots
+// checks the sweeps' slots against direct trial calls, independently
+// of any pool. Under -short the matrix shrinks to width 2 at both
+// block sizes — the CI race matrix runs that trimmed form at
+// GOMAXPROCS 2 and 4, which varies the real scheduling interleave
+// underneath the same comparison.
 func TestSuiteByteIdentityWidthBlockMatrix(t *testing.T) {
 	base := Params{Quick: true, Seed: 7}
 
+	type cell struct{ width, block int }
 	ref := base
-	ref.Serial = true
+	ref.Parallelism = 1
 	ref.Block = 8
 	want := suiteText(t, ref)
 
-	type cell struct{ width, block int }
 	wide := max(4, runtime.GOMAXPROCS(0))
 	// Width 0 and block 0 are the Params defaults.
-	cells := []cell{{0, 0}, {0, 1}, {1, 1}, {1, 8}, {2, 1}, {2, 8}, {4, 1}, {4, 8}, {wide, 1}, {wide, 8}}
+	cells := []cell{{0, 0}, {0, 1}, {1, 1}, {2, 1}, {2, 8}, {4, 1}, {4, 8}, {wide, 1}, {wide, 8}}
 	if testing.Short() {
 		cells = []cell{{2, 1}, {2, 8}}
 	}
-	ran := map[cell]bool{}
+	ran := map[cell]bool{{ref.Parallelism, ref.Block}: true}
 	for _, c := range cells {
 		p := base
 		p.Parallelism = c.width
@@ -74,7 +76,7 @@ func TestSuiteByteIdentityWidthBlockMatrix(t *testing.T) {
 		ran[resolved] = true
 		got := suiteText(t, p)
 		if got != want {
-			t.Errorf("width=%d block=%d report differs from serial block=8 reference:\n%s",
+			t.Errorf("width=%d block=%d report differs from the width=1 block=8 reference:\n%s",
 				c.width, c.block, firstDiff(want, got))
 		}
 	}

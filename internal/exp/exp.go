@@ -41,12 +41,6 @@ type Params struct {
 	// Experiments pass it through every Config so `divbench -trace`
 	// and `-metrics` see the whole suite.
 	Probe obs.ProbeMaker
-	// Serial disables the suite work-stealing scheduler: sweeps run
-	// their points in order through sim.TrialsWorker, the pre-scheduler
-	// behaviour behind `divbench -serial`. Results are byte-identical
-	// either way (seeds derive per point and trial); only scheduling
-	// and wall-clock change.
-	Serial bool
 	// Block is the blocked kernel's trials-per-block B for sweeps on
 	// the blocked pipeline (core.RunBlock: E1's winner sweep and both
 	// E2 sweeps); 0 means core.DefaultBlock. Each trial draws from its
@@ -141,8 +135,8 @@ func (r *Report) note(format string, args ...any) {
 
 // WriteText renders the full report — tables, figures, checks, notes
 // — to w, exactly as divbench prints it. It is the canonical textual
-// form the determinism regression test compares across scheduling
-// modes.
+// form the determinism regression test compares across pool widths
+// and block sizes.
 func (r *Report) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "######## %s — %s\n\n", r.ID, r.Name); err != nil {
 		return err
@@ -211,25 +205,18 @@ var All = []Def{
 }
 
 // RunAll runs the given experiments (all of them when defs is empty)
-// and returns reports in definition order. Unless p.Serial, the
-// experiments' goroutines run concurrently and their sweeps share the
-// work-stealing pool, so trials from different experiments interleave;
-// with p.Serial they run strictly one after another — the two paths
-// the suite-timing benchmark compares. Experiment errors are collected
-// per definition: the i-th error corresponds to the i-th def (nil on
-// success), and reports[i] is nil exactly when errs[i] is non-nil.
+// and returns reports in definition order. The experiments' goroutines
+// run concurrently and their sweeps share the work-stealing pool, so
+// trials from different experiments interleave. Experiment errors are
+// collected per definition: the i-th error corresponds to the i-th def
+// (nil on success), and reports[i] is nil exactly when errs[i] is
+// non-nil.
 func RunAll(p Params, defs []Def) (reports []*Report, errs []error) {
 	if len(defs) == 0 {
 		defs = All
 	}
 	reports = make([]*Report, len(defs))
 	errs = make([]error, len(defs))
-	if p.Serial {
-		for i, d := range defs {
-			reports[i], errs[i] = d.Run(p)
-		}
-		return reports, errs
-	}
 	var wg sync.WaitGroup
 	for i, d := range defs {
 		i, d := i, d

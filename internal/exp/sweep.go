@@ -15,24 +15,25 @@ import (
 	"div/internal/sim"
 )
 
-// This file is the declarative sweep layer that replaced the
-// hand-rolled per-point loops in the e*.go files. A sweep is a list of
-// grid points (graph, base seed, trial count) plus one trial function;
-// StartSweep fans the trials out at *trial* granularity onto the
-// process-wide work-stealing pool (internal/sched) and returns a
-// future, so a long-tail point — or a whole experiment — no longer
-// holds a barrier over idle cores: trials from E2's n=3200 point
-// interleave with E5's small points and with every other experiment
-// running concurrently.
+// This file is the declarative sweep layer every experiment runs its
+// trials through. A sweep is a list of grid points (graph, base seed,
+// trial count) plus one trial function; StartSweep fans the trials out
+// at *trial* granularity onto the process-wide work-stealing pool
+// (internal/sched), the one trial scheduler, and returns a future, so
+// a long-tail point — or a whole experiment — holds no barrier over
+// idle cores: trials from E2's n=3200 point interleave with E5's small
+// points and with every other experiment running concurrently. A
+// one-worker pool (Params.Parallelism 1) runs the same tasks one after
+// another.
 //
 // Determinism: the schedule cannot influence results. Each trial's
-// seed is rng.DeriveSeed(point.Seed, trial) — exactly the derivation
-// sim.TrialsWorker uses — every trial writes only results[point][trial],
-// and per-worker Scratch reuse is distribution-neutral (byte-identity
-// tests in internal/core). Params.Serial routes the same points
-// through sim.TrialsWorker synchronously instead; the determinism
-// regression test asserts the full suite report is byte-identical
-// across Serial, Parallelism=1, and wide pools.
+// seed is rng.DeriveSeed(point.Seed, trial), every trial writes only
+// results[point][trial], and per-worker Scratch reuse is
+// distribution-neutral (byte-identity tests in internal/core).
+// TestSweepResultSlots checks every slot against the trial function
+// called with no scheduler at all, and the suite matrix test asserts
+// the full report is byte-identical across pool widths and block
+// sizes.
 
 // Point is one grid point of a sweep: Trials trials on G with trial
 // seeds derived from Seed. For blocked sweeps the structure may
@@ -112,24 +113,29 @@ func (f *SweepFuture[T]) Wait() ([][]T, error) {
 	return f.res, f.err
 }
 
-// resolved returns an already-completed future (the Serial path).
-func resolved[T any](res [][]T, err error) *SweepFuture[T] {
-	f := &SweepFuture[T]{done: make(chan struct{}), res: res, err: err}
-	close(f.done)
-	return f
+// rejected completes f with an error, before any trial runs, if a
+// point has a negative trial count.
+func (f *SweepFuture[T]) rejected(points []Point) bool {
+	for pi, pt := range points {
+		if pt.Trials < 0 {
+			f.err = fmt.Errorf("sim: point %d: negative trial count %d", pi, pt.Trials)
+			close(f.done)
+			return true
+		}
+	}
+	return false
 }
 
 // StartSweep launches every trial of every point and returns a
 // future. fn computes one trial; it must draw all randomness from
 // seed (and may use the per-worker scratch, which is bound to the
-// point's graph). In Serial mode the sweep runs to completion before
-// StartSweep returns — old pre-scheduler behaviour, same results.
+// point's graph).
 func StartSweep[T any](p Params, id string, points []Point, fn func(point, trial int, seed uint64, sc *core.Scratch) (T, error)) *SweepFuture[T] {
-	if p.Serial {
-		return resolved(runSweepSerial(p, points, fn))
+	f := &SweepFuture[T]{done: make(chan struct{})}
+	if f.rejected(points) {
+		return f
 	}
 	pool := sched.Shared(p.Parallelism)
-	f := &SweepFuture[T]{done: make(chan struct{})}
 	res := make([][]T, len(points))
 	engHist := engineTrialHist(p)
 	var (
@@ -260,11 +266,11 @@ func (bt BlockTrial) config(p Params, pi int, pt Point, sc *core.Scratch) core.B
 // may reject it with an error); it runs inside the span task, ordered
 // by trial within the span.
 func StartSweepBlocked[T any](p Params, id string, points []Point, bt BlockTrial, post func(point, trial int, res core.Result) (T, error)) *SweepFuture[T] {
-	if p.Serial {
-		return resolved(runSweepBlockedSerial(p, points, bt, post))
+	f := &SweepFuture[T]{done: make(chan struct{})}
+	if f.rejected(points) {
+		return f
 	}
 	pool := sched.Shared(p.Parallelism)
-	f := &SweepFuture[T]{done: make(chan struct{})}
 	res := make([][]T, len(points))
 	span := p.blockSize()
 	var (
@@ -342,57 +348,6 @@ func StartSweepBlocked[T any](p Params, id string, points []Point, bt BlockTrial
 // SweepBlocked is StartSweepBlocked + Wait.
 func SweepBlocked[T any](p Params, id string, points []Point, bt BlockTrial, post func(point, trial int, res core.Result) (T, error)) ([][]T, error) {
 	return StartSweepBlocked(p, id, points, bt, post).Wait()
-}
-
-// runSweepBlockedSerial is the Serial path of a blocked sweep: points
-// in order, each a sim.TrialBlocks batch of span-granularity tasks.
-// Same kernel, same streams, hence byte-identical results.
-func runSweepBlockedSerial[T any](p Params, points []Point, bt BlockTrial, post func(point, trial int, res core.Result) (T, error)) ([][]T, error) {
-	out := make([][]T, len(points))
-	for pi, pt := range points {
-		pi, pt := pi, pt
-		out[pi] = make([]T, pt.Trials)
-		err := sim.TrialBlocks(pt.Trials, p.blockSize(), p.Parallelism,
-			func() *core.Scratch { return core.NewScratchTopo(pt.topology()) },
-			func(t0, t1 int, sc *core.Scratch) error {
-				buf := make([]core.Result, t1-t0)
-				if err := core.RunBlock(bt.config(p, pi, pt, sc), t0, t1, buf); err != nil {
-					return err
-				}
-				for t := t0; t < t1; t++ {
-					v, err := post(pi, t, buf[t-t0])
-					if err != nil {
-						return fmt.Errorf("trial %d: %w", t, err)
-					}
-					out[pi][t] = v
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// runSweepSerial is the pre-scheduler path: points in order, each a
-// sim.TrialsWorker batch (identical seed derivation and scratch
-// semantics, hence identical results).
-func runSweepSerial[T any](p Params, points []Point, fn func(point, trial int, seed uint64, sc *core.Scratch) (T, error)) ([][]T, error) {
-	out := make([][]T, len(points))
-	for pi, pt := range points {
-		pi, pt := pi, pt
-		res, err := sim.TrialsWorker(pt.Trials, pt.Seed, p.Parallelism,
-			func() *core.Scratch { return core.NewScratch(pt.G) },
-			func(trial int, seed uint64, sc *core.Scratch) (T, error) {
-				return fn(pi, trial, seed, sc)
-			})
-		if err != nil {
-			return nil, err
-		}
-		out[pi] = res
-	}
-	return out, nil
 }
 
 // workerScratch returns the worker's Scratch for g, reusing across

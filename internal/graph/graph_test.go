@@ -246,8 +246,7 @@ func arcIndexGraphs(t *testing.T) map[string]*Graph {
 }
 
 // TestArcIndexStructure checks the arc index against the CSR layout:
-// arc a of Neighbors order runs from vertex v to its neighbour, and
-// Arc agrees with the index.
+// arc a of Neighbors order runs from vertex v to its neighbour.
 func TestArcIndexStructure(t *testing.T) {
 	for name, g := range arcIndexGraphs(t) {
 		tails, adj := g.ArcIndex(), g.Arcs()
@@ -260,9 +259,6 @@ func TestArcIndexStructure(t *testing.T) {
 				a := base + int64(i)
 				if tails[a] != int32(v) || adj[a] != w {
 					t.Fatalf("%s: arc %d is (%d→%d), want (%d→%d)", name, a, tails[a], adj[a], v, w)
-				}
-				if u, x := g.Arc(a); u != v || x != int(w) {
-					t.Fatalf("%s: Arc(%d) = (%d→%d), want (%d→%d)", name, a, u, x, v, w)
 				}
 			}
 		}

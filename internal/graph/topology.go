@@ -34,16 +34,14 @@ type Topology interface {
 
 // ArcTopology is the optional arc-unit hook: a Topology that can map a
 // directed-arc index a in [0, DegreeSum()) to its (tail, head) pair in
-// CSR arc order (vertex-major, neighbours ascending). The edge-process
-// kernels need it; regular families implement it by v = a/d, i = a mod d.
+// CSR arc order (vertex-major, neighbours ascending). The blocked
+// edge-process kernels need it on irregular implicit topologies only
+// (ImplicitPath among the built-in families): on a regular one they
+// find the tail as a/d themselves, and a *Graph is read through its
+// ArcIndex.
 type ArcTopology interface {
 	Topology
 	Arc(a int64) (v, w int)
-}
-
-// *Graph satisfies ArcTopology: Arc reads the shared ArcIndex.
-func (g *Graph) Arc(a int64) (v, w int) {
-	return int(g.ArcIndex()[a]), int(g.adj[a])
 }
 
 // Materialize builds the CSR twin of a topology by enumerating every
@@ -124,10 +122,6 @@ func (t *ImplicitComplete) Neighbor(v, i int) int {
 func (t *ImplicitComplete) DegreeSum() int64 { return int64(t.n) * int64(t.n-1) }
 func (t *ImplicitComplete) MinDegree() int   { return t.n - 1 }
 func (t *ImplicitComplete) Name() string     { return fmt.Sprintf("complete(n=%d)", t.n) }
-func (t *ImplicitComplete) Arc(a int64) (v, w int) {
-	d := int64(t.n - 1)
-	return int(a / d), t.Neighbor(int(a/d), int(a%d))
-}
 
 // ImplicitCycle is C_n: each vertex's sorted neighbours are
 // {v-1 mod n, v+1 mod n}.
@@ -163,9 +157,6 @@ func (t *ImplicitCycle) Neighbor(v, i int) int {
 func (t *ImplicitCycle) DegreeSum() int64 { return 2 * int64(t.n) }
 func (t *ImplicitCycle) MinDegree() int   { return 2 }
 func (t *ImplicitCycle) Name() string     { return fmt.Sprintf("cycle(n=%d)", t.n) }
-func (t *ImplicitCycle) Arc(a int64) (v, w int) {
-	return int(a / 2), t.Neighbor(int(a/2), int(a%2))
-}
 
 // ImplicitPath is P_n: endpoint degrees 1, interior degrees 2, sorted
 // neighbours {v-1, v+1}.
@@ -280,9 +271,6 @@ func (t *ImplicitTorus) Neighbor(v, i int) int {
 func (t *ImplicitTorus) DegreeSum() int64 { return 4 * int64(t.rows) * int64(t.cols) }
 func (t *ImplicitTorus) MinDegree() int   { return 4 }
 func (t *ImplicitTorus) Name() string     { return fmt.Sprintf("torus(%dx%d)", t.rows, t.cols) }
-func (t *ImplicitTorus) Arc(a int64) (v, w int) {
-	return int(a / 4), t.Neighbor(int(a/4), int(a%4))
-}
 
 // ImplicitHypercube is the d-dimensional hypercube Q_d on n = 2^d
 // vertices: v's neighbours are v with one bit flipped. In ascending
@@ -322,18 +310,14 @@ func (t *ImplicitHypercube) Neighbor(v, i int) int {
 func (t *ImplicitHypercube) DegreeSum() int64 { return int64(t.d) << t.d }
 func (t *ImplicitHypercube) MinDegree() int   { return t.d }
 func (t *ImplicitHypercube) Name() string     { return fmt.Sprintf("hypercube(d=%d)", t.d) }
-func (t *ImplicitHypercube) Arc(a int64) (v, w int) {
-	d := int64(t.d)
-	return int(a / d), t.Neighbor(int(a/d), int(a%d))
-}
 
 // ImplicitCirculant is the circulant graph C_n(s_1..s_L): v is adjacent
 // to v ± s_j mod n. Strides must be distinct and in [1, ⌈n/2⌉-1] — the
-// antipodal stride n/2 is rejected so the family stays 2L-regular and
-// the implicit arc map stays trivial. For interior vertices
-// (s_max ≤ v < n-s_max, the overwhelming majority at large n) the
-// sorted neighbour list is v + off[i] for the presorted offset table
-// [-s_L..-s_1, s_1..s_L]; wrap-around vertices take a small sort.
+// antipodal stride n/2 is rejected so the family stays 2L-regular. For
+// interior vertices (s_max ≤ v < n-s_max, the overwhelming majority at
+// large n) the sorted neighbour list is v + off[i] for the presorted
+// offset table [-s_L..-s_1, s_1..s_L]; wrap-around vertices take a
+// small sort.
 type ImplicitCirculant struct {
 	n       int
 	strides []int // ascending
@@ -394,10 +378,6 @@ func (t *ImplicitCirculant) DegreeSum() int64 { return int64(len(t.offs)) * int6
 func (t *ImplicitCirculant) MinDegree() int   { return len(t.offs) }
 func (t *ImplicitCirculant) Name() string {
 	return fmt.Sprintf("circulant(n=%d,strides=%v)", t.n, t.strides)
-}
-func (t *ImplicitCirculant) Arc(a int64) (v, w int) {
-	d := int64(len(t.offs))
-	return int(a / d), t.Neighbor(int(a/d), int(a%d))
 }
 
 // Strides returns the ascending stride list (read-only).
@@ -505,10 +485,6 @@ func (t *HashedRegular) DegreeSum() int64 { return int64(t.n) * int64(t.d) }
 func (t *HashedRegular) MinDegree() int   { return t.d }
 func (t *HashedRegular) Name() string {
 	return fmt.Sprintf("hashedregular(n=%d,d=%d,seed=%d)", t.n, t.d, t.seed)
-}
-func (t *HashedRegular) Arc(a int64) (v, w int) {
-	d := int64(t.d)
-	return int(a / d), t.Neighbor(int(a/d), int(a%d))
 }
 
 // Rows and Cols return the torus dimensions.

@@ -9,9 +9,10 @@ package obs
 // resolved.
 //
 // Implementations must be safe for use from a single goroutine per
-// run; when runs execute in parallel (sim.Trials) each run gets its
-// own context-stamped probe, and shared sinks (TraceWriter,
-// MetricsProbe) synchronize internally.
+// run; when runs execute in parallel (internal/exp's sweeps on the
+// work-stealing pool) each run gets its own context-stamped probe,
+// and shared sinks (TraceWriter, MetricsProbe) synchronize
+// internally.
 //
 // Probes must not mutate the process: they receive values, never the
 // live state, and the engines guarantee they consume no randomness on

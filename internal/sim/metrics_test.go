@@ -18,55 +18,6 @@ func swapMetrics(t *testing.T) *obs.Registry {
 	return reg
 }
 
-func TestTrialsMetrics(t *testing.T) {
-	reg := swapMetrics(t)
-	const trials = 12
-	_, err := Trials(trials, 1, 3, func(trial int, seed uint64) (int, error) {
-		time.Sleep(time.Millisecond)
-		return trial, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("sim_trials_total").Value(); got != trials {
-		t.Fatalf("sim_trials_total = %d, want %d", got, trials)
-	}
-	if got := reg.Counter("sim_trial_errors_total").Value(); got != 0 {
-		t.Fatalf("sim_trial_errors_total = %d", got)
-	}
-	if got := reg.Gauge("sim_workers").Value(); got != 3 {
-		t.Fatalf("sim_workers = %d, want 3", got)
-	}
-	h := reg.Histogram("sim_trial_micros")
-	if h.Count() != trials {
-		t.Fatalf("trial-time histogram count = %d, want %d", h.Count(), trials)
-	}
-	if h.Sum() < trials*1000 {
-		t.Fatalf("trial-time histogram sum = %dµs, below %d sleeps of 1ms", h.Sum(), trials)
-	}
-	util := reg.Gauge("sim_worker_utilization_permille").Value()
-	if util <= 0 || util > 1100 { // small scheduling slack above 1000
-		t.Fatalf("worker utilization = %d‰, outside (0, 1100]", util)
-	}
-}
-
-func TestTrialsMetricsOnError(t *testing.T) {
-	reg := swapMetrics(t)
-	boom := errors.New("boom")
-	_, err := Trials(8, 1, 2, func(trial int, seed uint64) (int, error) {
-		if trial == 3 {
-			return 0, boom
-		}
-		return trial, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := reg.Counter("sim_trial_errors_total").Value(); got == 0 {
-		t.Fatal("error counter not incremented")
-	}
-}
-
 func TestInstrumented(t *testing.T) {
 	reg := swapMetrics(t)
 	v, elapsed, err := Instrumented(func() (int, error) {
@@ -102,5 +53,47 @@ func TestInstrumented(t *testing.T) {
 	}
 	if got := reg.Counter("sim_trial_errors_total").Value(); got != 2 {
 		t.Fatalf("sim_trial_errors_total = %d, want 2", got)
+	}
+
+	// InstrumentedBlock: one span of 5 trials counts 5 trials, observes
+	// 5 per-trial times and 1 span time.
+	trials0 := reg.Counter("sim_trials_total").Value()
+	trialObs0 := reg.Histogram("sim_trial_micros").Count()
+	elapsed, err = InstrumentedBlock(5, func() error {
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err != nil || elapsed < time.Millisecond {
+		t.Fatalf("InstrumentedBlock = (%v, %v), want (>= 1ms, nil)", elapsed, err)
+	}
+	if got := reg.Counter("sim_trials_total").Value() - trials0; got != 5 {
+		t.Fatalf("sim_trials_total advanced by %d, want 5", got)
+	}
+	if got := reg.Histogram("sim_trial_micros").Count() - trialObs0; got != 5 {
+		t.Fatalf("sim_trial_micros gained %d observations, want 5", got)
+	}
+	if got := reg.Histogram("sim_block_micros").Count(); got != 1 {
+		t.Fatalf("sim_block_micros count = %d, want 1", got)
+	}
+
+	// A failing span counts one error, not one per trial.
+	if _, err := InstrumentedBlock(5, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if got := reg.Counter("sim_trial_errors_total").Value(); got != 3 {
+		t.Fatalf("sim_trial_errors_total = %d, want 3", got)
+	}
+
+	// A panicking span is contained into an error carrying the
+	// panicking site's stack.
+	_, err = InstrumentedBlock(5, func() error { panic("span kaboom") })
+	if err == nil || !strings.Contains(err.Error(), "span kaboom") {
+		t.Fatalf("span panic not surfaced as error: %v", err)
+	}
+	if !strings.Contains(err.Error(), "metrics_test.go") {
+		t.Errorf("span panic error does not carry the stack:\n%v", err)
+	}
+	if got := reg.Counter("sim_trial_errors_total").Value(); got != 4 {
+		t.Fatalf("sim_trial_errors_total = %d, want 4", got)
 	}
 }

@@ -1,72 +1,9 @@
 package sim
 
 import (
-	"errors"
 	"strings"
 	"testing"
-
-	"div/internal/rng"
 )
-
-func TestTrialsDeterministicAcrossParallelism(t *testing.T) {
-	fn := func(trial int, seed uint64) (uint64, error) {
-		return rng.New(seed).Uint64() + uint64(trial), nil
-	}
-	serial, err := Trials(64, 7, 1, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Trials(64, 7, 8, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("trial %d differs: %d vs %d", i, serial[i], parallel[i])
-		}
-	}
-}
-
-func TestTrialsErrorPropagates(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Trials(100, 1, 4, func(trial int, seed uint64) (int, error) {
-		if trial == 37 {
-			return 0, boom
-		}
-		return trial, nil
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if !strings.Contains(err.Error(), "trial 37") {
-		t.Errorf("error %q does not name the failing trial", err)
-	}
-}
-
-func TestTrialsEdgeCases(t *testing.T) {
-	res, err := Trials(0, 1, 4, func(int, uint64) (int, error) { return 0, nil })
-	if err != nil || len(res) != 0 {
-		t.Errorf("zero trials: %v, %v", res, err)
-	}
-	if _, err := Trials[int](-1, 1, 4, nil); err == nil {
-		t.Error("negative trials accepted")
-	}
-}
-
-func TestMapPreservesOrder(t *testing.T) {
-	xs := []int{10, 20, 30, 40}
-	ys, err := Map(xs, 1, 4, func(i int, x int, seed uint64) (int, error) {
-		return x * 2, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, y := range ys {
-		if y != xs[i]*2 {
-			t.Fatalf("ys = %v", ys)
-		}
-	}
-}
 
 func TestGeometricInts(t *testing.T) {
 	got := GeometricInts(100, 1600, 5)
@@ -143,33 +80,5 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\n1,\"x,y\"\n"
 	if b.String() != want {
 		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
-func TestTrialsRecoversPanic(t *testing.T) {
-	_, err := Trials(8, 1, 4, func(trial int, seed uint64) (int, error) {
-		if trial == 3 {
-			panic("boom in trial")
-		}
-		return trial, nil
-	})
-	if err == nil {
-		t.Fatal("Trials returned nil error for a panicking trial")
-	}
-	for _, want := range []string{"trial 3", "panic", "boom in trial"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	if !strings.Contains(err.Error(), "sim_test.go") {
-		t.Errorf("error does not carry the panicking site's stack:\n%v", err)
-	}
-}
-
-func TestTrialsRecoversPanicSerial(t *testing.T) {
-	if _, err := Trials(4, 1, 1, func(trial int, seed uint64) (int, error) {
-		panic(trial)
-	}); err == nil || !strings.Contains(err.Error(), "trial 0") {
-		t.Fatalf("serial panic not surfaced as first error: %v", err)
 	}
 }
