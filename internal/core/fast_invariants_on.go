@@ -18,6 +18,16 @@ func sparseCheckInvariants(sp *SparseState) {
 	}
 }
 
+// resetCheckInvariants recounts every aggregate a successful
+// State.ResetTo built (CheckInvariants, O(n)) and panics on the first
+// divergence, so the invariants build cross-checks every reset, the
+// one-pass reuse of the previous window included.
+func resetCheckInvariants(s *State) {
+	if err := s.CheckInvariants(); err != nil {
+		panic(err)
+	}
+}
+
 // invariantChecksEnabled reports whether this build re-derives the
 // discordance bookkeeping after every update (divtestinvariants). The
 // allocation-regression tests skip themselves under it: the O(n + m)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"div/internal/graph"
@@ -170,4 +173,119 @@ func FuzzFastEngine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzResetToReuse resets four warm States — int32 and compact rows on
+// an irregular CSR graph and on HashedRegular — through a fuzz-decoded
+// sequence of profiles, and holds every reset to NewState on the same
+// profile, field by field: the same error, or the same State. Each
+// 4-byte entry is (representation and modifiers, width, base shift,
+// dominant share):
+//
+//   - flags bit 0 picks the compact row, bit 1 HashedRegular;
+//   - the window is width+1 opinions wide, 256 more with bit 2, and
+//     2²² more with bit 3 (always rejected);
+//   - the window's base moves by the signed shift from that State's
+//     previous base; with bit 4 the window instead ends shift above the
+//     int32 maximum, inside it for a shift ≤ 0;
+//   - each vertex holds the dominant opinion, in the middle of the
+//     window, with probability share/256, and otherwise one drawn
+//     uniformly from the window; both ends of the window are held.
+//
+// The seed corpus covers a one-pass hit, each kind of miss (compact
+// minimum one up, minimum one down, a window of 256 then 257) and each
+// error, so plain `go test` runs them.
+func FuzzResetToReuse(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 200, 0, 7, 0, 200, 0, 3, 0, 100})               // same window, then narrower: hits
+	f.Add([]byte{1, 7, 0, 200, 1, 7, 1, 200, 0, 7, 1, 200})               // minimum one up: compact miss, int32 hit
+	f.Add([]byte{3, 7, 0, 200, 3, 7, 0xff, 200, 2, 9, 0xfe, 0})           // minimum one down: misses
+	f.Add([]byte{0, 255, 0, 128, 4, 0, 0, 128, 0, 5, 0, 250})             // 256 then 257, then back under 256
+	f.Add([]byte{1, 255, 0, 128, 5, 0, 0, 128, 1, 2, 0, 0})               // compact 257: too wide for bytes
+	f.Add([]byte{2, 4, 0, 64, 10, 0, 0, 64, 2, 4, 0, 64})                 // wider than 2²²
+	f.Add([]byte{17, 2, 0, 200, 17, 1, 1, 200, 16, 2, 0, 9, 16, 1, 1, 9}) // at, then one past, the int32 maximum
+	f.Fuzz(func(t *testing.T, seq []byte) {
+		hashed, err := graph.NewHashedRegular(54, 3, 0xf0e5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos := [2]graph.Topology{primeCaterpillar(), hashed}
+		var states [4]*State
+		var bases [4]int
+		for i := 0; i+4 <= len(seq) && i < 4*64; i += 4 {
+			flags, wb, shift, share := seq[i], seq[i+1], int8(seq[i+2]), seq[i+3]
+			k := int(flags & 3)
+			topo, compact := topos[k>>1], k&1 == 1
+			width := 1 + int(wb) + 256*int(flags>>2&1)
+			if flags&8 != 0 {
+				width += 1 << 22
+			}
+			bases[k] += int(shift)
+			if flags&16 != 0 {
+				bases[k] = math.MaxInt32 + int(shift) - width + 1
+			}
+			op := shareWindowProfile(topo.N(), width, bases[k], share, uint64(i))
+			label := fmt.Sprintf("entry %d (flags %#x, window %d at %d)", i/4, flags, width, bases[k])
+			fresh, want := topoState(topo, compact, op)
+			if states[k] == nil {
+				if want == nil {
+					states[k] = fresh
+				}
+				continue
+			}
+			err := states[k].ResetTo(op)
+			if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+				t.Fatalf("%s: reused ResetTo error %v, NewState error %v", label, err, want)
+			}
+			if err == nil {
+				if d := stateDiff(states[k], fresh); d != "" {
+					t.Fatalf("%s: reused State differs from NewState in %s", label, d)
+				}
+			}
+		}
+	})
+}
+
+// shareWindowProfile returns n opinions spanning exactly
+// [base, base+w−1]: each vertex holds base+w/2 with probability
+// share/256 and otherwise one drawn uniformly from the window.
+func shareWindowProfile(n, w, base int, share uint8, seed uint64) []int {
+	r := rand.New(rand.NewPCG(seed, 0xf0e6))
+	op := make([]int, n)
+	for v := range op {
+		op[v] = base + w/2
+		if r.IntN(256) >= int(share) {
+			op[v] = base + r.IntN(w)
+		}
+	}
+	op[0], op[n-1] = base, base+w-1
+	return op
+}
+
+// stateDiff names the first field in which got differs from want, or
+// returns "" when they are equal in every field.
+func stateDiff(got, want *State) string {
+	switch {
+	case got.g != want.g || got.topo != want.topo:
+		return "topology"
+	case !slices.Equal(got.opinions, want.opinions) || !slices.Equal(got.opb, want.opb):
+		return "opinion row"
+	case got.base != want.base:
+		return fmt.Sprintf("base %d, want %d", got.base, want.base)
+	case !slices.Equal(got.counts, want.counts):
+		return fmt.Sprintf("counts %v, want %v", got.counts, want.counts)
+	case !slices.Equal(got.degMass, want.degMass):
+		return fmt.Sprintf("degMass %v, want %v", got.degMass, want.degMass)
+	case got.minIdx != want.minIdx || got.maxIdx != want.maxIdx:
+		return fmt.Sprintf("minIdx/maxIdx %d/%d, want %d/%d", got.minIdx, got.maxIdx, want.minIdx, want.maxIdx)
+	case got.sum != want.sum || got.degSum != want.degSum:
+		return fmt.Sprintf("sum/degSum %d/%d, want %d/%d", got.sum, got.degSum, want.sum, want.degSum)
+	case got.steps != want.steps || got.support != want.support || got.supVer != want.supVer:
+		return fmt.Sprintf("steps/support/supVer %d/%d/%d, want %d/%d/%d",
+			got.steps, got.support, got.supVer, want.steps, want.support, want.supVer)
+	case got.discordFn != nil:
+		return "discordance hook"
+	case !reflect.DeepEqual(*got, *want):
+		return "a field stateDiff does not name"
+	}
+	return ""
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -297,8 +298,10 @@ func (sp *SparseState) countDiscordant(v int) int32 {
 // exactly the lists a walk over every vertex builds.
 //
 // With an opinion xm that dominant picks, it reads the opinion row once
-// and otherwise costs O(old members + n/64 + n_off·d̄), n_off being the
-// number of vertices off xm and d̄ their mean degree. Between seedings
+// — the compact row a word of eight opinions at a time, byte by byte
+// only inside words that hold a vertex off xm — and otherwise costs
+// O(old members + n/64 + n_off·d̄), n_off being the number of vertices
+// off xm and d̄ their mean degree. Between seedings
 // every non-member's pos is −1, so clearing the previous members'
 // entries restores an all −1 index. Every discordant arc has an
 // endpoint off xm, so one walk over those vertices finds them all: each
@@ -334,9 +337,17 @@ func (sp *SparseState) Seed() {
 			}
 		}
 	case s.opb != nil:
-		for v, x := range s.opb {
-			if int32(x) != xm {
-				sp.seedVertex(v, xm)
+		// Eight opinions per compare: a word of eight xm bytes holds no
+		// vertex to walk, and only the others are read byte by byte.
+		opb, rep := s.opb, uint64(uint8(xm))*0x0101010101010101
+		for v := 0; v < len(opb); v += 8 {
+			if v+8 <= len(opb) && binary.LittleEndian.Uint64(opb[v:]) == rep {
+				continue
+			}
+			for i, x := range opb[v:min(v+8, len(opb))] {
+				if int32(x) != xm {
+					sp.seedVertex(v+i, xm)
+				}
 			}
 		}
 	default:

@@ -19,6 +19,15 @@ import (
 // when compact is set and as int32s otherwise.
 func newTopoState(t testing.TB, topo graph.Topology, compact bool, opinions []int) *State {
 	t.Helper()
+	s, err := topoState(topo, compact, opinions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// topoState is newTopoState returning NewState's error.
+func topoState(topo graph.Topology, compact bool, opinions []int) (*State, error) {
 	s := &State{topo: topo}
 	if g, ok := topo.(*graph.Graph); ok {
 		s = &State{g: g}
@@ -27,9 +36,9 @@ func newTopoState(t testing.TB, topo graph.Topology, compact bool, opinions []in
 		s.opb = make([]uint8, topo.N())
 	}
 	if err := s.ResetTo(opinions); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return s
+	return s, nil
 }
 
 // seedWant is the set a full enumeration builds: every vertex visited
@@ -247,6 +256,89 @@ func TestSparseSeedMatchesFullEnumeration(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestSparseSeedCompactWordScan pins the compact row's word-at-a-time
+// scan, which skips every 8-byte word equal to eight copies of the
+// dominant byte: on a CSR and an implicit topology with n mod 8 ≠ 0,
+// each seeding must equal a full enumeration element for element. The
+// profiles put one dissenter in each of a word's eight byte positions
+// and in the tail after the last whole word, hold the dominant opinion
+// at byte 0 and at byte 255 of a 256-opinion window, and give the
+// dominant opinion exactly ⌈3n/4⌉ vertices, so that almost every word
+// holds a dissenter.
+func TestSparseSeedCompactWordScan(t *testing.T) {
+	const n = 8*9 + 6
+	rr, err := graph.RandomRegularSeeded(n, 4, 0x5eeda, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := graph.NewHashedRegular(n, 4, 0x5eedb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dissenter := func(at int) seedProfile {
+		return seedProfile{fmt.Sprintf("dissenter at %d", at), func(dst []int, _ *rand.Rand) {
+			for v := range dst {
+				dst[v] = 3
+			}
+			dst[at] = 4
+		}}
+	}
+	var profiles []seedProfile
+	for p := range 8 {
+		profiles = append(profiles, dissenter(8*4+p))
+	}
+	profiles = append(profiles, dissenter(n-1), dissenter(n-3),
+		seedProfile{"dominant byte 0", func(dst []int, _ *rand.Rand) {
+			for v := range dst {
+				dst[v] = -9
+			}
+			dst[13] = -9 + 255
+		}},
+		seedProfile{"dominant byte 255", func(dst []int, _ *rand.Rand) {
+			for v := range dst {
+				dst[v] = -9 + 255
+			}
+			dst[13], dst[50] = -9, 0
+		}},
+		seedProfile{"share 3/4", func(dst []int, r *rand.Rand) { shareProfile(dst, r, (3*len(dst)+3)/4) }},
+	)
+	for _, tc := range []struct {
+		name string
+		topo graph.Topology
+	}{{"csr-rr", rr}, {"hashedregular", hashed}} {
+		for _, proc := range []Process{VertexProcess, EdgeProcess} {
+			topo := tc.topo
+			t.Run(fmt.Sprintf("%s/%v", tc.name, proc), func(t *testing.T) {
+				if topo.N()%8 == 0 {
+					t.Fatalf("n = %d leaves no tail after the last word", topo.N())
+				}
+				r := rng.New(rng.DeriveSeed(0x5eedc, uint64(topo.N())))
+				op := make([]int, topo.N())
+				var sp *SparseState
+				for _, p := range profiles {
+					p.fill(op, r)
+					s := newTopoState(t, topo, true, op)
+					fresh, err := NewSparseState(s, proc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := fresh.dominant(); !ok {
+						t.Fatalf("%s: no dominant opinion", p.name)
+					}
+					checkSeeded(t, fresh, p.name+" at construction")
+					if sp == nil {
+						sp = fresh
+						continue
+					}
+					sp.rebind(s)
+					sp.Seed()
+					checkSeeded(t, sp, p.name+" after rebind")
+				}
+			})
 		}
 	}
 }

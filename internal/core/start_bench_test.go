@@ -73,9 +73,13 @@ func forStartCases(b *testing.B, bench func(b *testing.B, be startBackend, op []
 }
 
 // BenchmarkSparseSeed times one Seed, reseeding the same opinions: the
-// previous seeding's members are the ones to clear.
+// previous seeding's members are the ones to clear. Besides the six
+// start cases, share75 gives the dominant opinion exactly ⌈3n/4⌉
+// uniformly placed vertices, the fewest that still skip: almost every
+// word of the compact row holds a dissenter, the word scan's worst
+// case.
 func BenchmarkSparseSeed(b *testing.B) {
-	forStartCases(b, func(b *testing.B, be startBackend, op []int) {
+	bench := func(b *testing.B, be startBackend, op []int) {
 		sp, err := NewSparseState(newTopoState(b, be.topo, be.compact, op), VertexProcess)
 		if err != nil {
 			b.Fatal(err)
@@ -84,23 +88,40 @@ func BenchmarkSparseSeed(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sp.Seed()
 		}
+	}
+	forStartCases(b, bench)
+	forBackends(b, "share75", func(b *testing.B, be startBackend) {
+		op := make([]int, startN)
+		shareProfile(op, rng.New(0x5eed7), (3*startN+3)/4)
+		bench(b, be, op)
 	})
 }
 
-// BenchmarkResetTo times one State.ResetTo of a warm State to the same
-// opinions: the six start cases, and uniform k = 8 on CSR rr(2¹⁴, 8)
-// with int32 opinions, the shape of a Theorem 1 reduction trial.
+// BenchmarkResetTo times one State.ResetTo of a warm State: to the
+// same opinions in the six start cases; alternating between the
+// 64-dissenter profile and a copy 1000 higher (window-miss), whose
+// windows never fit each other's, so every reset takes two passes; and
+// uniform k = 8 on CSR rr(2¹⁴, 8) with int32 opinions, the shape of a
+// Theorem 1 reduction trial.
 func BenchmarkResetTo(b *testing.B) {
-	bench := func(b *testing.B, be startBackend, op []int) {
-		s := newTopoState(b, be.topo, be.compact, op)
+	bench := func(b *testing.B, be startBackend, ops ...[]int) {
+		s := newTopoState(b, be.topo, be.compact, ops[len(ops)-1])
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.ResetTo(op); err != nil {
+			if err := s.ResetTo(ops[i%len(ops)]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	forStartCases(b, bench)
+	forStartCases(b, func(b *testing.B, be startBackend, op []int) { bench(b, be, op) })
+	forBackends(b, "window-miss", func(b *testing.B, be startBackend) {
+		low, high := make([]int, startN), make([]int, startN)
+		startProfiles[0].fill(low, nil)
+		for v, x := range low {
+			high[v] = x + 1000
+		}
+		bench(b, be, low, high)
+	})
 	b.Run("csr-int32-n16384/uniform8", func(b *testing.B) {
 		const n = 1 << 14
 		g, err := graph.RandomRegularSeeded(n, startD, 0x5eed9, graph.BuildOpts{})
@@ -109,6 +130,17 @@ func BenchmarkResetTo(b *testing.B) {
 		}
 		bench(b, startBackend{topo: g}, UniformOpinions(n, 8, rng.New(0x5eed7)))
 	})
+}
+
+// forBackends runs bench once per backend, as backend/name.
+func forBackends(b *testing.B, name string, bench func(b *testing.B, be startBackend)) {
+	backends, err := startBackends()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, be := range backends {
+		b.Run(be.name+"/"+name, func(b *testing.B) { bench(b, be) })
+	}
 }
 
 // BenchmarkBlockTrialStart times one warm one-trial RunBlock under

@@ -76,13 +76,22 @@ func NewState(g *graph.Graph, initial []int) (*State, error) {
 // behind per-worker Scratch reuse. Step counters, the support version,
 // and any engine-attached discordance index are cleared; after ResetTo
 // the state is indistinguishable from a freshly constructed one.
-// Opinions must fit in int32.
+// Opinions must fit in int32. After an error for the opinions' range
+// the state is unusable until the next successful ResetTo: its opinion
+// row may already hold part of the rejected profile.
 //
-// It reads initial twice — once for the window, once to write the
-// opinion row and count it — and makes no other O(n) pass: the sums
-// follow from the counts, and on a regular topology the degree masses
-// too. An irregular topology adds one pass for the degree masses,
-// reading degrees from the CSR offsets when they exist.
+// A state that holds a window of at most 256 opinions — a reused one,
+// such as a blocked-kernel row or a Scratch's — takes its base as a
+// guess and reads initial once, writing the opinion row and counting
+// each opinion's offset from the guess. It keeps that pass when every
+// opinion lies within 256 of the guess and, for the compact row, whose
+// bytes are base-relative, when the smallest opinion is the guess
+// itself. Otherwise, and on a fresh state, it reads initial twice: once
+// for the window, then once to write the row and count it. The state
+// is the same either way. No other O(n) pass is made: the sums follow
+// from the counts, and on a regular topology the degree masses too. An
+// irregular topology adds one pass for the degree masses, reading
+// degrees from the CSR offsets when they exist.
 func (s *State) ResetTo(initial []int) error {
 	topo := s.Topology()
 	n := topo.N()
@@ -92,10 +101,34 @@ func (s *State) ResetTo(initial []int) error {
 	if len(initial) != n {
 		return fmt.Errorf("core: %d initial opinions for %d vertices", len(initial), n)
 	}
-	lo, hi := initial[0], initial[0]
-	for _, x := range initial {
-		lo = min(lo, x)
-		hi = max(hi, x)
+	if s.opinions == nil && s.opb == nil {
+		s.opinions = make([]int32, n)
+	}
+	var part [4][256]uint32
+	guess, fits := int(s.base), false
+	if w := len(s.counts); w > 0 && w <= 256 {
+		fits = s.fillRow(initial, guess, &part) < 256
+	}
+	var lo, hi int
+	if fits {
+		first, last := -1, 0
+		for i := range 256 {
+			if part[0][i]|part[1][i]|part[2][i]|part[3][i] != 0 {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		lo, hi = guess+first, guess+last
+		fits = s.opb == nil || first == 0
+	}
+	if !fits {
+		lo, hi = initial[0], initial[0]
+		for _, x := range initial {
+			lo = min(lo, x)
+			hi = max(hi, x)
+		}
 	}
 	if lo < math.MinInt32 || hi > math.MaxInt32 {
 		return fmt.Errorf("core: opinions [%d, %d] outside the int32 range", lo, hi)
@@ -107,9 +140,6 @@ func (s *State) ResetTo(initial []int) error {
 	width := int(width64)
 	if s.opb != nil && width > 256 {
 		return fmt.Errorf("core: opinion range %d too wide for the compact byte representation (max 256)", width)
-	}
-	if s.opinions == nil && s.opb == nil {
-		s.opinions = make([]int32, n)
 	}
 	if cap(s.counts) < width {
 		s.counts = make([]int64, width)
@@ -126,10 +156,12 @@ func (s *State) ResetTo(initial []int) error {
 	s.support, s.supVer = 0, 0
 	s.discordFn = nil
 	switch {
-	case s.opb != nil:
-		fillNarrow(s.opb, initial, lo, lo, s.counts)
+	case fits:
+		sumParts(s.counts, &part, lo-guess)
 	case width <= 256:
-		fillNarrow(s.opinions, initial, 0, lo, s.counts)
+		part = [4][256]uint32{}
+		s.fillRow(initial, lo, &part)
+		sumParts(s.counts, &part, 0)
 	default:
 		op := s.opinions[:n]
 		for v, x := range initial {
@@ -166,34 +198,57 @@ func (s *State) ResetTo(initial []int) error {
 	for s.counts[s.maxIdx] == 0 {
 		s.maxIdx--
 	}
+	resetCheckInvariants(s)
 	return nil
 }
 
-// fillNarrow writes row[v] = initial[v] − off and adds each opinion's
-// vertex count to counts (indexed by opinion − lo), for a window of at
-// most 256 opinions. Consecutive vertices count into four interleaved
-// partial histograms, so a run of equal opinions — a dominant profile —
-// is four independent increment chains rather than one chain through a
-// single memory cell.
-func fillNarrow[T uint8 | int32](row []T, initial []int, off, lo int, counts []int64) {
-	var part [4][256]uint32
+// fillRow writes initial into the live opinion row — the compact row
+// relative to lo — and counts it into part as fillNarrow does.
+func (s *State) fillRow(initial []int, lo int, part *[4][256]uint32) uint {
+	if s.opb != nil {
+		return fillNarrow(s.opb, initial, lo, lo, part)
+	}
+	return fillNarrow(s.opinions, initial, 0, lo, part)
+}
+
+// fillNarrow writes row[v] = initial[v] − off and counts each
+// opinion − lo, taken mod 256, into the zeroed partial histograms part.
+// It returns the bitwise OR of every opinion − lo, read as unsigned:
+// below 256 exactly when every opinion lies in [lo, lo+255], so that
+// the counts are exact. Consecutive vertices count into four
+// interleaved histograms, so a run of equal opinions — a dominant
+// profile — is four independent increment chains rather than one chain
+// through a single memory cell.
+func fillNarrow[T uint8 | int32](row []T, initial []int, off, lo int, part *[4][256]uint32) uint {
 	row = row[:len(initial)]
+	var spread uint
 	v := 0
 	for ; v+4 <= len(initial); v += 4 {
 		x := initial[v : v+4 : v+4]
-		part[0][uint8(x[0]-lo)]++
-		part[1][uint8(x[1]-lo)]++
-		part[2][uint8(x[2]-lo)]++
-		part[3][uint8(x[3]-lo)]++
+		d0, d1, d2, d3 := x[0]-lo, x[1]-lo, x[2]-lo, x[3]-lo
+		spread |= uint(d0) | uint(d1) | uint(d2) | uint(d3)
+		part[0][uint8(d0)]++
+		part[1][uint8(d1)]++
+		part[2][uint8(d2)]++
+		part[3][uint8(d3)]++
 		r := row[v : v+4 : v+4]
 		r[0], r[1], r[2], r[3] = T(x[0]-off), T(x[1]-off), T(x[2]-off), T(x[3]-off)
 	}
 	for ; v < len(initial); v++ {
-		part[0][uint8(initial[v]-lo)]++
+		d := initial[v] - lo
+		spread |= uint(d)
+		part[0][uint8(d)]++
 		row[v] = T(initial[v] - off)
 	}
+	return spread
+}
+
+// sumParts sets counts[i] to the four partial histograms' total at
+// bin from+i.
+func sumParts(counts []int64, part *[4][256]uint32, from int) {
 	for i := range counts {
-		counts[i] += int64(part[0][i]) + int64(part[1][i]) + int64(part[2][i]) + int64(part[3][i])
+		j := from + i
+		counts[i] = int64(part[0][j]) + int64(part[1][j]) + int64(part[2][j]) + int64(part[3][j])
 	}
 }
 
@@ -460,18 +515,22 @@ func (s *State) DiscordantEdges() int64 {
 		}
 		return c
 	}
-	tails, heads := s.g.ArcIndex(), s.g.Arcs()
 	if s.opb != nil {
-		for a := range heads {
-			if u, w := tails[a], heads[a]; u < w && s.opb[u] != s.opb[w] {
+		return discordantCSR(s.opb, s.g.Offsets(), s.g.Arcs())
+	}
+	return discordantCSR(s.opinions, s.g.Offsets(), s.g.Arcs())
+}
+
+// discordantCSR counts the edges {u, w}, u < w, whose endpoints differ
+// in row, walking each vertex's CSR adjacency slice: no arc index is
+// needed.
+func discordantCSR[T uint8 | int32](row []T, off []int64, adj []int32) int64 {
+	var c int64
+	for u, xu := range row {
+		for _, w := range adj[off[u]:off[u+1]] {
+			if int32(u) < w && xu != row[w] {
 				c++
 			}
-		}
-		return c
-	}
-	for a := range heads {
-		if u, w := tails[a], heads[a]; u < w && s.opinions[u] != s.opinions[w] {
-			c++
 		}
 	}
 	return c

@@ -253,15 +253,20 @@ func TestRangeContraction(t *testing.T) {
 	}
 }
 
-// TestResetToFromDirtyState pins ResetTo's reuse path: on every backend
-// path (CSR regular and irregular, implicit torus and HashedRegular)
-// and both representations, a State reset after a run of updates
-// on a profile with another window must match a freshly built State
-// and a from-scratch recount in every aggregate. The windows cover 1,
-// 2, 8 and 256 opinions (the interleaved narrow histogram) and, for
-// int32, 1000 (the wide one); successive windows both shrink and grow
-// the count arrays. n = 301 and 302 leave a tail after the four-vertex
-// groups.
+// TestResetToFromDirtyState pins ResetTo's reuse paths: on every
+// backend path (CSR regular and irregular, implicit torus and
+// HashedRegular) and both representations, a State reset after a run
+// of updates must match a freshly built State and a from-scratch
+// recount in every aggregate. The resets take the one-pass path (the
+// same window twice; a narrower or a wider window of at most 256 at
+// the same base; an int32 window that starts one above the held base)
+// and miss it: a compact window whose minimum moves one up, any window
+// whose minimum moves one down, an int32 window of 257 after one of
+// exactly 256 at the same base, and every reset after a window wider
+// than 256, which makes no guess. The windows cover 1, 2, 3, 8, 200,
+// 256 and 257 opinions and, for int32, 1000 (the wide histogram), so
+// the count arrays both shrink and grow. n = 301 and 302 leave a tail
+// after the four-vertex groups.
 func TestResetToFromDirtyState(t *testing.T) {
 	const n = 301
 	rr, err := graph.RandomRegularSeeded(n+1, 4, 0x7e5e1, graph.BuildOpts{})
@@ -276,6 +281,13 @@ func TestResetToFromDirtyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each reset's window is [base, base+w−1].
+	resets := []struct{ w, base int }{
+		{8, -3}, {8, -3}, {3, -3}, {200, -3}, // fresh, then three one-pass hits
+		{8, -2}, {8, -3}, // min one up, min one down
+		{256, -3}, {257, -3}, // exactly 256, then 257 (int32 only)
+		{2, 7}, {1000, -5}, {8, 0}, {1, 0}, {2, 1}, // after a wide window; shifts
+	}
 	for _, tc := range []struct {
 		name string
 		topo graph.Topology
@@ -287,25 +299,113 @@ func TestResetToFromDirtyState(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/compact=%v", tc.name, compact), func(t *testing.T) {
 				topo := tc.topo
 				r := rng.New(rng.DeriveSeed(0x7e5e3, uint64(topo.N())))
-				windows := []int{8, 1, 256, 2, 1000, 8, 2}
 				var s *State
-				for step, w := range windows {
-					if compact && w > 256 {
+				for step, rs := range resets {
+					if compact && rs.w > 256 {
 						continue
 					}
-					op := windowProfile(topo.N(), w, -3+step, r)
+					op := windowProfile(topo.N(), rs.w, rs.base, r)
 					if s == nil {
 						s = newTopoState(t, topo, compact, op)
 					} else if err := s.ResetTo(op); err != nil {
-						t.Fatalf("window %d: %v", w, err)
+						t.Fatalf("window %d at %d: %v", rs.w, rs.base, err)
 					}
-					label := fmt.Sprintf("window %d (reset %d)", w, step)
+					label := fmt.Sprintf("window %d at %d (reset %d)", rs.w, rs.base, step)
 					checkResetState(t, s, newTopoState(t, topo, compact, op), op, label)
 					for i := 0; i < 100 && s.Range() > 0; i++ {
 						s.SetOpinion(r.IntN(s.N()), s.Min()+r.IntN(s.Range()+1))
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestResetToRejectsOnWarmState pins ResetTo's range errors on a warm
+// State: a profile outside int32, one wider than 2²² and, for the
+// compact row, one wider than 256 must each fail with NewState's error
+// on the same profile, also when every opinion lies within 256 of the
+// held base (the one-pass guess), the int32 case included. After the
+// error the State is unusable until the next successful ResetTo, which
+// must restore it exactly.
+func TestResetToRejectsOnWarmState(t *testing.T) {
+	const n = 302
+	rr, err := graph.RandomRegularSeeded(n, 4, 0x7e5e4, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, err := graph.NewHashedRegular(n, 4, 0x7e5e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := math.MaxInt32 - 3
+	for _, tc := range []struct {
+		name string
+		topo graph.Topology
+	}{{"csr-rr", rr}, {"csr-caterpillar", primeCaterpillar()}, {"hashedregular", hashed}} {
+		for _, compact := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/compact=%v", tc.name, compact), func(t *testing.T) {
+				topo := tc.topo
+				r := rng.New(rng.DeriveSeed(0x7e5e6, uint64(topo.N())))
+				rejects := []struct {
+					name     string
+					warm, op []int
+				}{
+					{"outside int32", windowProfile(topo.N(), 2, -1, r), windowProfile(topo.N(), 2, 3e9, r)},
+					{"outside int32 within 256 of the base", windowProfile(topo.N(), 3, top, r), windowProfile(topo.N(), 5, top, r)},
+					{"wider than 2^22", windowProfile(topo.N(), 8, 0, r), windowProfile(topo.N(), 1<<22+1, 0, r)},
+				}
+				if compact {
+					rejects = append(rejects, struct {
+						name     string
+						warm, op []int
+					}{"wider than 256", windowProfile(topo.N(), 256, -7, r), windowProfile(topo.N(), 257, -7, r)})
+				}
+				for _, rj := range rejects {
+					s := newTopoState(t, topo, compact, rj.warm)
+					_, want := topoState(topo, compact, rj.op)
+					if want == nil {
+						t.Fatalf("%s: NewState accepted the profile", rj.name)
+					}
+					if err := s.ResetTo(rj.op); err == nil || err.Error() != want.Error() {
+						t.Fatalf("%s: warm ResetTo error %v, want %v", rj.name, err, want)
+					}
+					op := windowProfile(topo.N(), 4, rj.warm[0], r)
+					if err := s.ResetTo(op); err != nil {
+						t.Fatalf("%s: ResetTo after the error: %v", rj.name, err)
+					}
+					checkResetState(t, s, newTopoState(t, topo, compact, op), op, rj.name+", then a valid profile")
+				}
+			})
+		}
+	}
+}
+
+// TestDiscordantEdgesCSRRecount pins the O(m) recount on CSR graphs,
+// which walks each vertex's adjacency slice, against the Topology
+// interface walk on the same graph, on regular and irregular graphs
+// with int32 and compact opinions.
+func TestDiscordantEdgesCSRRecount(t *testing.T) {
+	rr, err := graph.RandomRegularSeeded(200, 6, 0x7e5e7, graph.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{rr, graph.Star(50), primeCaterpillar(), graph.Path(9)} {
+		for _, compact := range []bool{false, true} {
+			r := rng.New(rng.DeriveSeed(0x7e5e8, uint64(g.N())))
+			for _, k := range []int{1, 2, 5} {
+				op := UniformOpinions(g.N(), k, r)
+				got := newTopoState(t, g, compact, op).DiscordantEdges()
+				// Hiding the *graph.Graph sends the count through the
+				// Topology interface.
+				want := newTopoState(t, struct{ graph.Topology }{g}, compact, op).DiscordantEdges()
+				if got != want {
+					t.Errorf("%v compact=%v k=%d: CSR recount %d, Topology walk %d", g, compact, k, got, want)
+				}
+				if k > 1 && want == 0 {
+					t.Errorf("%v compact=%v k=%d: no discordant edge to count", g, compact, k)
+				}
+			}
 		}
 	}
 }
